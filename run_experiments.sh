@@ -1,7 +1,7 @@
 #!/bin/bash
 # Regenerate every experiment output into results/.
 set -u
-cd /root/repo
+cd "$(dirname "$0")"
 R=results
 run() { echo "== $1 =="; cargo run -p bench --release --bin "$1" ${3:-} > "$R/$2" 2>/dev/null; }
 run fig3_adaptive_cost fig3.tsv
