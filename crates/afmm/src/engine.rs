@@ -1,19 +1,40 @@
 use crate::config::{FmmParams, HeteroNode};
 use crate::exec::{time_step_with_jobs_policy, ExecPolicy, TimingReport};
 use crate::plan::ExecutionPlan;
-use fmm_math::{DerivScratch, ExpansionOps, Kernel, OpFlops};
+use fmm_math::{ExpansionOps, Kernel, M2lScratch, OpFlops};
 use geom::Vec3;
 use octree::{
     build_adaptive, build_adaptive_in_cube, BuildParams, EnforceOutcome, InteractionLists, NodeId,
     Octree, OpCounts, PlanRefresh, NONE,
 };
-use rayon::prelude::*;
 
 /// What [`FmmEngine::lists`] hands out before any plan exists.
 static EMPTY_LISTS: InteractionLists = InteractionLists {
     m2l: Vec::new(),
     p2p: Vec::new(),
 };
+
+/// Buffers the numeric phases of [`FmmEngine::try_solve`] reuse across
+/// solves.
+#[derive(Default)]
+struct PhaseScratch {
+    /// Visible nodes, parents before children ([`Octree::visible_bfs`]).
+    walk: Vec<NodeId>,
+    /// One node's expansion while it is being accumulated.
+    expansion: Vec<f64>,
+    /// Power-series table of P2M/M2M/L2L/L2P.
+    pow: Vec<f64>,
+    m2l: M2lScratch,
+}
+
+impl PhaseScratch {
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.walk.capacity() * size_of::<NodeId>()
+            + (self.expansion.capacity() + self.pow.capacity()) * size_of::<f64>()
+            + self.m2l.heap_bytes()
+    }
+}
 
 /// Result of one FMM solve, in **original body order**: a potential-like
 /// scalar and a vector field per body (acceleration for gravity, velocity
@@ -29,17 +50,18 @@ pub struct FmmSolution {
 /// P2P) over it.
 ///
 /// The engine separates *physics* from *clock*: [`FmmEngine::solve`]
-/// computes exact (to expansion order) interactions on the host with rayon
-/// data parallelism, while the `exec` module derives the virtual
-/// heterogeneous-node times for the same tree + interaction lists. The
-/// numbers the load balancer reacts to come from the latter.
+/// computes exact (to expansion order) interactions on the host, while the
+/// `exec` module derives the virtual heterogeneous-node times for the same
+/// tree + interaction lists. The numbers the load balancer reacts to come
+/// from the latter.
 ///
-/// Far-field execution is level-synchronous: each level's nodes are
-/// processed in parallel (disjoint writes), levels deep→shallow for the
-/// upsweep and shallow→deep for the downsweep. This is numerically identical
-/// to the paper's recursive task version; the *task-DAG shape* of the
-/// recursive version (which determines parallel makespan) is what the
-/// virtual executor models.
+/// Far-field execution walks the visible nodes breadth-first: children
+/// before parents for the upsweep, parents before children for the
+/// downsweep. Each node writes only its own expansion (and each leaf only
+/// its own body range), so the order within a level changes no result. This
+/// is numerically identical to the paper's recursive task version; the
+/// *task-DAG shape* of the recursive version (which determines parallel
+/// makespan) is what the virtual executor models.
 pub struct FmmEngine<K: Kernel> {
     pub kernel: K,
     params: FmmParams,
@@ -55,6 +77,8 @@ pub struct FmmEngine<K: Kernel> {
     // Expansion storage, node-major: node id × channel × coefficient.
     multipoles: Vec<f64>,
     locals: Vec<f64>,
+    /// Reused by every solve, so a warm solve allocates nothing.
+    scratch: PhaseScratch,
     /// The persistent execution plan: interaction lists, op counts and GPU
     /// jobs, built lazily and *patched* across tree edits that go through
     /// the plan-aware APIs ([`FmmEngine::apply_collapse`],
@@ -125,6 +149,7 @@ impl<K: Kernel> FmmEngine<K> {
             out_t: Vec::new(),
             multipoles: Vec::new(),
             locals: Vec::new(),
+            scratch: PhaseScratch::default(),
             plan: None,
             plan_stale: true,
             rec: telemetry::Recorder::disabled(),
@@ -404,6 +429,7 @@ impl<K: Kernel> FmmEngine<K> {
             + self.out_t.capacity() * size_of::<Vec3>()
             + self.multipoles.capacity() * size_of::<f64>()
             + self.locals.capacity() * size_of::<f64>()
+            + self.scratch.heap_bytes()
     }
 
     /// Patch/refresh epoch of the live plan (`None` without one). The
@@ -532,11 +558,12 @@ impl<K: Kernel> FmmEngine<K> {
         self.locals.resize(n_nodes * stride, 0.0);
 
         if n > 0 {
-            // One allocation scope over the three numeric phases: their
-            // per-level update collects are inherent to collect-then-write,
-            // so "phase" is measured (not zero-gated) by the memory
-            // observatory, unlike "rebin"/"plan.refresh".
+            // One allocation scope over the three numeric phases. They write
+            // in place through reused scratch, so a warm solve allocates
+            // nothing here (zero-gated like "rebin"/"plan.refresh").
             let _mem = telemetry::AllocScope::enter("phase");
+            self.tree.visible_bfs(&mut self.scratch.walk);
+            self.scratch.expansion.resize(stride, 0.0);
             {
                 let mut span = self.rec.start_span("solve.upsweep");
                 span.field("bodies", n);
@@ -562,155 +589,145 @@ impl<K: Kernel> FmmEngine<K> {
         Ok(FmmSolution { pot, field })
     }
 
-    /// P2M at the leaves, M2M up the levels (deep → shallow).
+    /// P2M at the leaves, M2M from children to parents (children first).
     fn upsweep(&mut self, stride: usize) {
-        let levels = self.tree.levels();
-        let kernel = &self.kernel;
-        let ops = &self.ops;
-        let tree = &self.tree;
-        let pos_t = &self.pos_t;
-        let str_t = &self.str_t;
+        let FmmEngine {
+            kernel,
+            ops,
+            tree,
+            pos_t,
+            str_t,
+            multipoles,
+            scratch,
+            ..
+        } = self;
         let sd = kernel.strength_dim();
         let ch = kernel.channels();
-        for lv in levels.iter().rev() {
-            // Each node at this level computes its expansion from bodies
-            // (leaf) or already-finished children (deeper level): reads are
-            // disjoint from this level's writes, so collect-then-write.
-            let multipoles = &self.multipoles;
-            let updates: Vec<(NodeId, Vec<f64>)> = lv
-                .par_iter()
-                .filter(|&&id| tree.node(id).count() > 0)
-                .map_init(Vec::new, |pow, &id| {
-                    let node = tree.node(id);
-                    let mut m = vec![0.0; stride];
-                    if node.is_leaf() {
-                        let r = node.range();
-                        kernel.p2m(
-                            ops,
-                            node.center,
-                            &pos_t[r.clone()],
-                            &str_t[sd * r.start..sd * r.end],
-                            &mut m,
-                            pow,
-                        );
-                    } else {
-                        for c in tree.visible_children(id) {
-                            let cn = tree.node(c);
-                            if cn.count() == 0 {
-                                continue;
-                            }
-                            let src = &multipoles[c as usize * stride..(c as usize + 1) * stride];
-                            ops.m2m(src, cn.center - node.center, &mut m, ch, pow);
-                        }
-                    }
-                    (id, m)
-                })
-                .collect();
-            for (id, m) in updates {
-                let base = id as usize * stride;
-                self.multipoles[base..base + stride].copy_from_slice(&m);
+        let m = &mut scratch.expansion;
+        for &id in scratch.walk.iter().rev() {
+            let node = tree.node(id);
+            if node.count() == 0 {
+                continue;
             }
+            m.fill(0.0);
+            if node.is_leaf() {
+                let r = node.range();
+                kernel.p2m(
+                    ops,
+                    node.center,
+                    &pos_t[r.clone()],
+                    &str_t[sd * r.start..sd * r.end],
+                    m,
+                    &mut scratch.pow,
+                );
+            } else {
+                for c in tree.visible_children(id) {
+                    let cn = tree.node(c);
+                    if cn.count() == 0 {
+                        continue;
+                    }
+                    let src = &multipoles[c as usize * stride..(c as usize + 1) * stride];
+                    ops.m2m(src, cn.center - node.center, m, ch, &mut scratch.pow);
+                }
+            }
+            let base = id as usize * stride;
+            multipoles[base..base + stride].copy_from_slice(m);
         }
     }
 
-    /// L2L from parents + M2L from interaction lists, shallow → deep, then
-    /// L2P at the leaves (folded into [`FmmEngine::near_field`]'s leaf pass).
+    /// L2L from parents + M2L from interaction lists, parents before
+    /// children, then L2P at the leaves (folded into
+    /// [`FmmEngine::near_field`]'s leaf pass).
     fn downsweep(&mut self, stride: usize) {
-        let levels = self.tree.levels();
-        let ops = &self.ops;
-        let tree = &self.tree;
-        let lists = self
-            .plan
-            .as_ref()
-            .expect("plan refreshed in try_solve")
-            .lists();
-        let ch = self.kernel.channels();
-        let multipoles = &self.multipoles;
-        for lv in levels.iter() {
-            let locals = &self.locals;
-            let updates: Vec<(NodeId, Vec<f64>)> = lv
-                .par_iter()
-                .filter(|&&id| tree.node(id).count() > 0)
-                .map_init(
-                    || (Vec::new(), DerivScratch::default(), Vec::new()),
-                    |(pow, ds, tens), &id| {
-                        let node = tree.node(id);
-                        let mut l = vec![0.0; stride];
-                        if node.parent != NONE {
-                            let p = node.parent as usize;
-                            let src = &locals[p * stride..(p + 1) * stride];
-                            ops.l2l(
-                                src,
-                                node.center - tree.node(node.parent).center,
-                                &mut l,
-                                ch,
-                                pow,
-                            );
-                        }
-                        for &b in &lists.m2l[id as usize] {
-                            let src = &multipoles[b as usize * stride..(b as usize + 1) * stride];
-                            ops.m2l(src, node.center - tree.node(b).center, &mut l, ch, ds, tens);
-                        }
-                        (id, l)
-                    },
-                )
-                .collect();
-            for (id, l) in updates {
-                let base = id as usize * stride;
-                self.locals[base..base + stride].copy_from_slice(&l);
+        let FmmEngine {
+            kernel,
+            ops,
+            tree,
+            multipoles,
+            locals,
+            scratch,
+            plan,
+            ..
+        } = self;
+        let lists = plan.as_ref().expect("plan refreshed in try_solve").lists();
+        let ch = kernel.channels();
+        let l = &mut scratch.expansion;
+        for &id in &scratch.walk {
+            let node = tree.node(id);
+            if node.count() == 0 {
+                continue;
             }
+            l.fill(0.0);
+            if node.parent != NONE {
+                let p = node.parent as usize;
+                let src = &locals[p * stride..(p + 1) * stride];
+                ops.l2l(
+                    src,
+                    node.center - tree.node(node.parent).center,
+                    l,
+                    ch,
+                    &mut scratch.pow,
+                );
+            }
+            for &b in &lists.m2l[id as usize] {
+                let src = &multipoles[b as usize * stride..(b as usize + 1) * stride];
+                ops.m2l(
+                    src,
+                    node.center - tree.node(b).center,
+                    l,
+                    ch,
+                    &mut scratch.m2l,
+                );
+            }
+            let base = id as usize * stride;
+            locals[base..base + stride].copy_from_slice(l);
         }
     }
 
     /// Per-leaf L2P (far field applied to bodies) and P2P (direct
-    /// interactions with non-separated leaves). Each leaf writes a disjoint
-    /// body range; results are collected per leaf and written back.
+    /// interactions with non-separated leaves), accumulated straight into
+    /// the leaf's own range of the zeroed tree-order outputs.
     fn near_field(&mut self) {
-        let tree = &self.tree;
-        let ops = &self.ops;
-        let kernel = &self.kernel;
-        let lists = self
-            .plan
-            .as_ref()
-            .expect("plan refreshed in try_solve")
-            .lists();
-        let pos_t = &self.pos_t;
-        let str_t = &self.str_t;
-        let locals = &self.locals;
+        let FmmEngine {
+            kernel,
+            ops,
+            tree,
+            pos_t,
+            str_t,
+            pot_t,
+            out_t,
+            locals,
+            scratch,
+            plan,
+            ..
+        } = self;
+        let lists = plan.as_ref().expect("plan refreshed in try_solve").lists();
         let sd = kernel.strength_dim();
         let stride = kernel.channels() * ops.nterms();
-
-        let leaves = tree.active_leaves();
-        let updates: Vec<(std::ops::Range<usize>, Vec<f64>, Vec<Vec3>)> = leaves
-            .par_iter()
-            .map_init(Vec::new, |pow, &id| {
-                let node = tree.node(id);
-                let r = node.range();
-                let len = r.len();
-                let mut pot = vec![0.0; len];
-                let mut out = vec![Vec3::ZERO; len];
-                let tpos = &pos_t[r.clone()];
-                // Far field: evaluate the leaf's local expansion.
-                let l = &locals[id as usize * stride..(id as usize + 1) * stride];
-                kernel.l2p(ops, node.center, l, tpos, &mut pot, &mut out, pow);
-                // Near field: direct interaction with every source leaf.
-                for &b in &lists.p2p[id as usize] {
-                    let rb = tree.node(b).range();
-                    kernel.p2p(
-                        tpos,
-                        &mut pot,
-                        &mut out,
-                        &pos_t[rb.clone()],
-                        &str_t[sd * rb.start..sd * rb.end],
-                        b == id,
-                    );
-                }
-                (r, pot, out)
-            })
-            .collect();
-        for (r, pot, out) in updates {
-            self.pot_t[r.clone()].copy_from_slice(&pot);
-            self.out_t[r].copy_from_slice(&out);
+        for &id in &scratch.walk {
+            let node = tree.node(id);
+            if !node.is_leaf() || node.count() == 0 {
+                continue;
+            }
+            let r = node.range();
+            let tpos = &pos_t[r.clone()];
+            let pot = &mut pot_t[r.clone()];
+            let out = &mut out_t[r];
+            // Far field: evaluate the leaf's local expansion.
+            let l = &locals[id as usize * stride..(id as usize + 1) * stride];
+            kernel.l2p(ops, node.center, l, tpos, pot, out, &mut scratch.pow);
+            // Near field: direct interaction with every source leaf.
+            for &b in &lists.p2p[id as usize] {
+                let rb = tree.node(b).range();
+                kernel.p2p(
+                    tpos,
+                    pot,
+                    out,
+                    &pos_t[rb.clone()],
+                    &str_t[sd * rb.start..sd * rb.end],
+                    b == id,
+                );
+            }
         }
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! The crate wires the workspace's substrates together:
 //!
-//! * [`FmmEngine`] — the AFMM solver (exact physics, rayon data
-//!   parallelism) over the adaptive octree of the `octree` crate and the
-//!   cartesian expansions of `fmm-math`;
+//! * [`FmmEngine`] — the AFMM solver (exact physics on the host) over the
+//!   adaptive octree of the `octree` crate and the cartesian expansions of
+//!   `fmm-math`;
 //! * [`exec`] — virtual-node timing: the far-field work becomes the paper's
 //!   recursive task DAG scheduled on `sched-sim`'s cores, and the near-field
 //!   work becomes all-pairs kernels on `gpu-sim`'s devices;

@@ -17,8 +17,8 @@
 //! ```
 //!
 //! `report` enforces the steady-state invariant the perf lab gates on: a
-//! warm cached-plan step performs **zero** allocations inside the `rebin`
-//! and `plan.refresh` scopes. Like the `memory_profile` scenario, the
+//! warm cached-plan step performs **zero** allocations inside the `rebin`,
+//! `plan.refresh` and `phase` (the solve's numeric phases) scopes. Like the `memory_profile` scenario, the
 //! gate is measured over frozen-position steps (guaranteed cached-plan
 //! path at any scale) after a motion phase that reports the dynamic
 //! allocation profile. Exit codes follow the suite convention:
@@ -194,9 +194,10 @@ fn cmd_report(n: usize, steps: usize) -> i32 {
         w.engine.rebin(&w.pos);
         std::hint::black_box(w.engine.solve(&w.pos, &w.mass));
     }
-    let rebin = memprof::scope_stats("rebin").unwrap_or_default();
-    let refresh = memprof::scope_stats("plan.refresh").unwrap_or_default();
-    let gate_allocs = rebin.allocs + refresh.allocs;
+    let gate_allocs: u64 = ["rebin", "plan.refresh", "phase"]
+        .iter()
+        .map(|scope| memprof::scope_stats(scope).unwrap_or_default().allocs)
+        .sum();
     let (rows, bodies, nodes, entries) = footprint_rows(&w);
     let total: usize = rows.iter().map(|(_, b)| b).sum();
     let mut doc = String::new();
@@ -242,12 +243,12 @@ fn cmd_report(n: usize, steps: usize) -> i32 {
     if memprof::counting() {
         if gate_allocs > 0 {
             eprintln!(
-                "# GATE FAIL: {gate_allocs} allocation(s) inside rebin/plan.refresh \
-                 during steady state (expected 0: warm scratch buffers cover both)"
+                "# GATE FAIL: {gate_allocs} allocation(s) inside rebin/plan.refresh/phase \
+                 during steady state (expected 0: warm scratch buffers cover all three)"
             );
             return 1;
         }
-        println!("# zero-alloc steady-state gate holds (rebin + plan.refresh: 0 allocs)");
+        println!("# zero-alloc steady-state gate holds (rebin + plan.refresh + phase: 0 allocs)");
     }
     0
 }

@@ -736,7 +736,7 @@ fn balancer_faults(cfg: &SuiteConfig) -> Scenario {
 /// the counts are bit-for-bit reproducible on one host and any change is a
 /// real allocation-behavior change. The hard invariant is
 /// `steady_gate_allocs == 0`: a warm cached-plan step performs zero heap
-/// allocations inside the `rebin` and `plan.refresh` scopes. The gate
+/// allocations inside the `rebin`, `plan.refresh` and `phase` scopes. The gate
 /// phase holds positions fixed so every refresh provably stays on the
 /// cached-plan path at any workload scale (under motion an emptiness flip
 /// legitimately rebuilds, which allocates); the motion phase's refresh
@@ -791,9 +791,10 @@ fn memory_profile(cfg: &SuiteConfig) -> Scenario {
         engine.rebin(&pos);
         std::hint::black_box(engine.solve(&pos, &b.mass));
     }
-    let rebin_sc = memprof::scope_stats("rebin").unwrap_or_default();
-    let refresh_sc = memprof::scope_stats("plan.refresh").unwrap_or_default();
-    let gate_allocs = rebin_sc.allocs + refresh_sc.allocs;
+    let gate_allocs: u64 = ["rebin", "plan.refresh", "phase"]
+        .iter()
+        .map(|scope| memprof::scope_stats(scope).unwrap_or_default().allocs)
+        .sum();
 
     // Structural footprint of the steady-state structures, before the edit
     // experiment below perturbs them.

@@ -1,26 +1,65 @@
-use crate::multiindex::MultiIndexSet;
+use crate::multiindex::{nterms, MultiIndexSet};
 use crate::powers::power_series;
 use crate::tensor::{deriv_1_over_r, DerivScratch};
 use geom::Vec3;
 
+/// Target coefficients contracted together by one pass of the M2L loop:
+/// that many independent accumulators stay in registers while `α` rises.
+const M2L_LANES: usize = 4;
+
+/// Up to [`M2L_LANES`] target coefficients `β` of one total order, which
+/// therefore share the source range `α ∈ 0..nterms(p − |β|)`.
+#[derive(Clone, Copy, Debug)]
+struct M2lChunk {
+    /// Target flat indices; lanes `>= lanes` repeat index 0 and are never
+    /// written back.
+    beta: [usize; M2L_LANES],
+    lanes: usize,
+    /// `m2l_sum[start..start + alpha_len]` holds `idx(α + β_k)` per `α`.
+    start: usize,
+    alpha_len: usize,
+}
+
+/// Reusable scratch for [`ExpansionOps::m2l`]: the derivative-tensor
+/// recurrence table, the tensor itself and the sign-folded source moments.
+/// One per worker thread; allocation happens on the first call only.
+#[derive(Clone, Debug, Default)]
+pub struct M2lScratch {
+    deriv: DerivScratch,
+    tensor: Vec<f64>,
+    signed: Vec<f64>,
+}
+
+impl M2lScratch {
+    /// Heap bytes held (capacity granularity).
+    pub fn heap_bytes(&self) -> usize {
+        (self.deriv.capacity() + self.tensor.capacity() + self.signed.capacity())
+            * std::mem::size_of::<f64>()
+    }
+}
+
 /// Precomputed translation plans for expansions of a given order.
 ///
-/// Holds the [`MultiIndexSet`] plus the flattened index triples used by the
+/// Holds the [`MultiIndexSet`] plus the flattened index tables used by the
 /// kernel-independent translations:
 ///
 /// * `sub_triples`: all `(α, β, α−β)` with `β <= α` component-wise — the
 ///   binomial stencil shared by M2M and L2L;
-/// * `m2l_triples`: all `(α, β, α+β)` with `|α| + |β| <= p` — the
-///   total-order-truncated M2L contraction (the standard cartesian-FMM
-///   truncation; error stays `O((d/R)^{p+1})`).
+/// * `m2l_chunks`/`m2l_sum`: the pairs `(α, β)` with `|α| + |β| <= p` —
+///   the total-order-truncated M2L contraction (the standard cartesian-FMM
+///   truncation; error stays `O((d/R)^{p+1})`) — grouped by target `β`
+///   so the contraction keeps several output chains in flight.
 ///
 /// One `ExpansionOps` is built per solver and shared read-only by all worker
-/// threads; scratch buffers ([`DerivScratch`], power tables) live per thread.
+/// threads; scratch buffers ([`M2lScratch`], power tables) live per thread.
 #[derive(Clone, Debug)]
 pub struct ExpansionOps {
     set: MultiIndexSet,
     sub_triples: Vec<(u32, u32, u32)>,
-    m2l_triples: Vec<(u32, u32, u32)>,
+    m2l_chunks: Vec<M2lChunk>,
+    m2l_sum: Vec<[u32; M2L_LANES]>,
+    /// Number of `(α, β)` pairs of the M2L contraction.
+    m2l_pairs: usize,
     /// `(−1)^{|α|}` per flat index, used in the multipole-to-field formula.
     sign: Vec<f64>,
 }
@@ -29,7 +68,6 @@ impl ExpansionOps {
     pub fn new(order: usize) -> Self {
         let set = MultiIndexSet::new(order);
         let mut sub_triples = Vec::new();
-        let mut m2l_triples = Vec::new();
         for (a, (ai, aj, ak)) in set.iter() {
             // β <= α component-wise.
             for bi in 0..=ai {
@@ -41,15 +79,32 @@ impl ExpansionOps {
                     }
                 }
             }
-            // |α| + |β| <= p.
-            let na = ai + aj + ak;
-            for b in 0..set.len() {
-                if na + set.total_order(b) > order {
-                    continue;
+        }
+        let mut m2l_chunks = Vec::new();
+        let mut m2l_sum = Vec::new();
+        let mut m2l_pairs = 0;
+        for n in 0..=order {
+            // |α| <= p − n is a prefix of the graded storage order.
+            let alpha_len = nterms(order - n);
+            let betas: Vec<usize> = set.order_range(n).collect();
+            for group in betas.chunks(M2L_LANES) {
+                let mut beta = [0; M2L_LANES];
+                beta[..group.len()].copy_from_slice(group);
+                let start = m2l_sum.len();
+                for a in 0..alpha_len {
+                    let (ai, aj, ak) = set.tuple(a);
+                    m2l_sum.push(beta.map(|b| {
+                        let (bi, bj, bk) = set.tuple(b);
+                        set.idx(ai + bi, aj + bj, ak + bk) as u32
+                    }));
                 }
-                let (bi, bj, bk) = set.tuple(b);
-                let sum = set.idx(ai + bi, aj + bj, ak + bk);
-                m2l_triples.push((a as u32, b as u32, sum as u32));
+                m2l_pairs += group.len() * alpha_len;
+                m2l_chunks.push(M2lChunk {
+                    beta,
+                    lanes: group.len(),
+                    start,
+                    alpha_len,
+                });
             }
         }
         let sign = (0..set.len())
@@ -64,7 +119,9 @@ impl ExpansionOps {
         ExpansionOps {
             set,
             sub_triples,
-            m2l_triples,
+            m2l_chunks,
+            m2l_sum,
+            m2l_pairs,
             sign,
         }
     }
@@ -145,26 +202,42 @@ impl ExpansionOps {
     /// One derivative tensor evaluation is shared across all `channels` —
     /// which is exactly why the 7-channel Stokeslet kernel costs ~4× (not 7×)
     /// the 1-channel gravity M2L.
+    ///
+    /// Each `L_β` receives its terms in ascending `α`, one rounding per
+    /// multiply and per add; the result does not depend on how the targets
+    /// are grouped into chunks.
     pub fn m2l(
         &self,
         src_m: &[f64],
         r: Vec3,
         dst_l: &mut [f64],
         channels: usize,
-        deriv_scratch: &mut DerivScratch,
-        tensor_out: &mut Vec<f64>,
+        scratch: &mut M2lScratch,
     ) {
         let nt = self.set.len();
         debug_assert_eq!(src_m.len(), channels * nt);
         debug_assert_eq!(dst_l.len(), channels * nt);
-        tensor_out.resize(nt, 0.0);
-        deriv_1_over_r(r, &self.set, deriv_scratch, tensor_out);
+        scratch.tensor.resize(nt, 0.0);
+        deriv_1_over_r(r, &self.set, &mut scratch.deriv, &mut scratch.tensor);
+        let t = &scratch.tensor;
+        scratch.signed.resize(nt, 0.0);
         for c in 0..channels {
             let src = &src_m[c * nt..(c + 1) * nt];
             let dst = &mut dst_l[c * nt..(c + 1) * nt];
-            for &(a, b, sum) in &self.m2l_triples {
-                dst[b as usize] +=
-                    self.sign[a as usize] * src[a as usize] * tensor_out[sum as usize];
+            for ((sm, &s), &m) in scratch.signed.iter_mut().zip(&self.sign).zip(src) {
+                *sm = s * m;
+            }
+            for ch in &self.m2l_chunks {
+                let sums = &self.m2l_sum[ch.start..ch.start + ch.alpha_len];
+                let mut acc = ch.beta.map(|b| dst[b]);
+                for (&sm, sum) in scratch.signed.iter().zip(sums) {
+                    for (a, &k) in acc.iter_mut().zip(sum) {
+                        *a += sm * t[k as usize];
+                    }
+                }
+                for (&b, &a) in ch.beta.iter().zip(&acc).take(ch.lanes) {
+                    dst[b] = a;
+                }
             }
         }
     }
@@ -188,7 +261,7 @@ impl ExpansionOps {
     /// contraction.
     pub fn m2l_flops(&self, channels: usize) -> f64 {
         let tensor = 4 * (self.set.order() + 1) * self.set.len();
-        (tensor + 3 * self.m2l_triples.len() * channels) as f64
+        (tensor + 3 * self.m2l_pairs * channels) as f64
     }
 
     /// Flops for P2M / L2P per body per channel-coefficient table.
@@ -302,9 +375,8 @@ mod tests {
 
         let m = p2m_charges(&ops, src_center, &srcs);
         let mut l = vec![0.0; ops.nterms()];
-        let mut ds = DerivScratch::default();
-        let mut tens = Vec::new();
-        ops.m2l(&m, local_center - src_center, &mut l, 1, &mut ds, &mut tens);
+        let mut ms = M2lScratch::default();
+        ops.m2l(&m, local_center - src_center, &mut l, 1, &mut ms);
 
         let exact = direct_potential(&srcs, x);
         let phi_l = eval_local(&ops, &l, local_center, x);
@@ -355,10 +427,9 @@ mod tests {
         let r = Vec3::new(5.0, 1.0, 0.5);
         let mut l1 = vec![0.0; nt];
         let mut l2 = vec![0.0; 2 * nt];
-        let mut ds = DerivScratch::default();
-        let mut tens = Vec::new();
-        ops.m2l(&m1, r, &mut l1, 1, &mut ds, &mut tens);
-        ops.m2l(&m2, r, &mut l2, 2, &mut ds, &mut tens);
+        let mut ms = M2lScratch::default();
+        ops.m2l(&m1, r, &mut l1, 1, &mut ms);
+        ops.m2l(&m2, r, &mut l2, 2, &mut ms);
         for i in 0..nt {
             assert_eq!(l1[i], l2[i]);
             assert_eq!(l1[i], l2[nt + i]);

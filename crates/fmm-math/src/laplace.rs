@@ -3,6 +3,61 @@ use crate::kernel::Kernel;
 use crate::powers::power_series;
 use geom::Vec3;
 
+/// Targets per block of [`GravityKernel::p2p`]: that many independent
+/// floating-point chains are in flight per source.
+const P2P_LANES: usize = 4;
+
+/// One block of P2P targets and their running sums, one lane per target.
+#[derive(Default)]
+struct Lanes {
+    x: [f64; P2P_LANES],
+    y: [f64; P2P_LANES],
+    z: [f64; P2P_LANES],
+    phi: [f64; P2P_LANES],
+    ax: [f64; P2P_LANES],
+    ay: [f64; P2P_LANES],
+    az: [f64; P2P_LANES],
+}
+
+impl Lanes {
+    /// Add source `(y, q)` to every lane. With `DIAG`, lane `diag` is the
+    /// source itself and keeps its sums by a select (its term may be
+    /// inf/NaN); without, the lanes are branch- and select-free.
+    #[inline(always)]
+    fn add<const DIAG: bool>(&mut self, y: Vec3, q: f64, eps2: f64, diag: usize) {
+        for k in 0..P2P_LANES {
+            let dx = y.x - self.x[k];
+            let dy = y.y - self.y[k];
+            let dz = y.z - self.z[k];
+            let r2 = dx * dx + dy * dy + dz * dz + eps2;
+            let inv_r = 1.0 / r2.sqrt();
+            let inv_r3 = inv_r / r2;
+            let qr3 = q * inv_r3;
+            let keep = !DIAG || k != diag;
+            self.phi[k] = if keep {
+                self.phi[k] + q * inv_r
+            } else {
+                self.phi[k]
+            };
+            self.ax[k] = if keep {
+                self.ax[k] + dx * qr3
+            } else {
+                self.ax[k]
+            };
+            self.ay[k] = if keep {
+                self.ay[k] + dy * qr3
+            } else {
+                self.ay[k]
+            };
+            self.az[k] = if keep {
+                self.az[k] + dz * qr3
+            } else {
+                self.az[k]
+            };
+        }
+    }
+}
+
 /// The Newtonian gravity / Coulomb kernel `1/r` (one harmonic channel).
 ///
 /// Conventions: for sources of mass `m_s` at `y_s`, the kernel computes per
@@ -120,22 +175,36 @@ impl Kernel for GravityKernel {
             debug_assert_eq!(tpos.len(), spos.len());
         }
         let eps2 = self.softening * self.softening;
-        for (i, &x) in tpos.iter().enumerate() {
-            let mut phi = 0.0;
-            let mut acc = Vec3::ZERO;
-            for (j, (&y, &q)) in spos.iter().zip(sstr).enumerate() {
-                if self_interaction && i == j {
-                    continue;
-                }
-                let d = y - x;
-                let r2 = d.norm_sq() + eps2;
-                let inv_r = 1.0 / r2.sqrt();
-                let inv_r3 = inv_r / r2;
-                phi += q * inv_r;
-                acc += d * (q * inv_r3);
+        // Targets run in blocks of P2P_LANES independent accumulator chains;
+        // each target still adds its terms in ascending j with the same
+        // expressions as a one-target loop, so blocking changes no bit.
+        for (b, block) in tpos.chunks(P2P_LANES).enumerate() {
+            let i0 = b * P2P_LANES;
+            let mut lanes = Lanes::default();
+            for (k, t) in block.iter().enumerate() {
+                (lanes.x[k], lanes.y[k], lanes.z[k]) = (t.x, t.y, t.z);
             }
-            tpot[i] += phi;
-            tout[i] += acc;
+            // Only sources i0..i0 + P2P_LANES can be a lane's own body; the
+            // ranges around that diagonal block need no select at all.
+            let (lo, hi) = if self_interaction {
+                (i0.min(spos.len()), (i0 + P2P_LANES).min(spos.len()))
+            } else {
+                (spos.len(), spos.len())
+            };
+            for (&y, &q) in spos[..lo].iter().zip(&sstr[..lo]) {
+                lanes.add::<false>(y, q, eps2, 0);
+            }
+            for (j, (&y, &q)) in spos[lo..hi].iter().zip(&sstr[lo..hi]).enumerate() {
+                lanes.add::<true>(y, q, eps2, j);
+            }
+            for (&y, &q) in spos[hi..].iter().zip(&sstr[hi..]) {
+                lanes.add::<false>(y, q, eps2, 0);
+            }
+            // Lanes past the end of the block hold padding and are dropped.
+            for k in 0..block.len() {
+                tpot[i0 + k] += lanes.phi[k];
+                tout[i0 + k] += Vec3::new(lanes.ax[k], lanes.ay[k], lanes.az[k]);
+            }
         }
     }
 
@@ -148,7 +217,7 @@ impl Kernel for GravityKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::DerivScratch;
+    use crate::expansion::M2lScratch;
 
     fn cluster() -> (Vec<Vec3>, Vec<f64>) {
         let pos = vec![
@@ -218,9 +287,8 @@ mod tests {
 
             let local_center = Vec3::new(5.1, 0.1, 0.0);
             let mut l = vec![0.0; ops.nterms()];
-            let mut ds = DerivScratch::default();
-            let mut tens = Vec::new();
-            ops.m2l(&m, local_center, &mut l, 1, &mut ds, &mut tens);
+            let mut ms = M2lScratch::default();
+            ops.m2l(&m, local_center, &mut l, 1, &mut ms);
 
             let mut pot = vec![0.0; tpos.len()];
             let mut acc = vec![Vec3::ZERO; tpos.len()];

@@ -35,7 +35,7 @@ mod powers;
 mod stokeslet;
 mod tensor;
 
-pub use expansion::ExpansionOps;
+pub use expansion::{ExpansionOps, M2lScratch};
 pub use kernel::{Kernel, OpFlops};
 pub use laplace::GravityKernel;
 pub use multiindex::{nterms, MultiIndexSet};

@@ -23,6 +23,27 @@ pub struct MultiIndexSet {
     /// `order_start[n]` = first flat index of total order `n`;
     /// `order_start[order + 1]` = total length.
     order_start: Vec<usize>,
+    /// `steps[idx - 1]` = how flat index `idx >= 1` peels (see [`Step`]).
+    steps: Vec<Step>,
+}
+
+/// One entry's place in the peel recurrences shared by the power series and
+/// the derivative tensor, precomputed so their inner loops run no
+/// `peel`/`tuple`/`idx` lookups: `α = lower + e_axis`, with `α_axis` the
+/// exponent being incremented.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Step {
+    /// Flat index of `α`.
+    pub idx: usize,
+    /// First axis with a nonzero exponent (the one [`MultiIndexSet::peel`]
+    /// picks).
+    pub axis: usize,
+    /// Flat index of `α − e_axis`.
+    pub lower: usize,
+    /// Flat index of `α − 2e_axis`, when `α_axis >= 2`.
+    pub lower2: Option<usize>,
+    /// `α_axis − 1`.
+    pub gm1: f64,
 }
 
 impl MultiIndexSet {
@@ -52,13 +73,42 @@ impl MultiIndexSet {
         }
         order_start.push(tuples.len());
         debug_assert_eq!(tuples.len(), nterms(order));
-        MultiIndexSet {
+        let mut set = MultiIndexSet {
             order,
             tuples,
             index,
             inv_fact,
             order_start,
-        }
+            steps: Vec::new(),
+        };
+        set.steps = (1..set.len())
+            .map(|idx| {
+                let (axis, lower) = set.peel(idx).expect("order >= 1 peels");
+                let (i, j, k) = set.tuple(idx);
+                let mut t = [i, j, k];
+                let gd = t[axis];
+                let lower2 = (gd >= 2).then(|| {
+                    t[axis] -= 2;
+                    set.idx(t[0], t[1], t[2])
+                });
+                Step {
+                    idx,
+                    axis,
+                    lower,
+                    lower2,
+                    gm1: (gd - 1) as f64,
+                }
+            })
+            .collect();
+        set
+    }
+
+    /// Peel steps of every flat index of total order `n >= 1`, in storage
+    /// order.
+    #[inline]
+    pub(crate) fn steps(&self, n: usize) -> &[Step] {
+        let r = self.order_range(n);
+        &self.steps[r.start - 1..r.end - 1]
     }
 
     /// Maximum total order `p`.

@@ -13,12 +13,11 @@ pub fn power_series(dx: Vec3, set: &MultiIndexSet, out: &mut [f64]) {
     debug_assert_eq!(out.len(), set.len());
     out[0] = 1.0;
     let d = [dx.x, dx.y, dx.z];
-    for idx in 1..set.len() {
-        // peel() picks the first axis with a nonzero exponent.
-        let (axis, lower) = set.peel(idx).expect("nonzero index peels");
-        let (i, j, k) = set.tuple(idx);
-        let e = [i, j, k][axis] as f64;
-        out[idx] = out[lower] * d[axis] / e;
+    for n in 1..=set.order() {
+        for s in set.steps(n) {
+            // The exponent α_axis is a small integer, so gm1 + 1 is exact.
+            out[s.idx] = out[s.lower] * d[s.axis] / (s.gm1 + 1.0);
+        }
     }
 }
 

@@ -195,7 +195,7 @@ impl Kernel for StokesletKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::DerivScratch;
+    use crate::expansion::M2lScratch;
 
     fn cluster() -> (Vec<Vec3>, Vec<f64>) {
         let pos = vec![
@@ -263,9 +263,8 @@ mod tests {
 
             let lc = Vec3::new(4.1, 0.0, 0.0);
             let mut l = vec![0.0; STOKESLET_CHANNELS * nt];
-            let mut ds = DerivScratch::default();
-            let mut tens = Vec::new();
-            ops.m2l(&m, lc, &mut l, STOKESLET_CHANNELS, &mut ds, &mut tens);
+            let mut ms = M2lScratch::default();
+            ops.m2l(&m, lc, &mut l, STOKESLET_CHANNELS, &mut ms);
 
             let mut pot = vec![0.0; tpos.len()];
             let mut u = vec![Vec3::ZERO; tpos.len()];
@@ -309,16 +308,8 @@ mod tests {
         // M2L from parent, evaluate at target.
         let lc = tpos[0] + Vec3::new(-0.05, 0.02, 0.0);
         let mut l = vec![0.0; STOKESLET_CHANNELS * nt];
-        let mut ds = DerivScratch::default();
-        let mut tens = Vec::new();
-        ops.m2l(
-            &mp,
-            lc - parent_c,
-            &mut l,
-            STOKESLET_CHANNELS,
-            &mut ds,
-            &mut tens,
-        );
+        let mut ms = M2lScratch::default();
+        ops.m2l(&mp, lc - parent_c, &mut l, STOKESLET_CHANNELS, &mut ms);
         let mut pot = vec![0.0];
         let mut u = vec![Vec3::ZERO];
         k.l2p(&ops, lc, &l, &tpos, &mut pot, &mut u, &mut pow);

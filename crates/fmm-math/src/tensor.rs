@@ -1,12 +1,20 @@
 use crate::multiindex::MultiIndexSet;
 use geom::Vec3;
 
-/// Reusable scratch table for [`deriv_1_over_r`]: `(order+1) × nterms`
-/// auxiliary values of the McMurchie–Davidson recurrence. One per worker
-/// thread is enough; allocation happens once and is reused across M2L calls.
+/// Reusable scratch table for [`deriv_1_over_r`]: the `nterms × (order+1)`
+/// auxiliary values of the McMurchie–Davidson recurrence, stored
+/// entry-major so each entry's run over the auxiliary index `m` is
+/// contiguous. One per worker thread is enough; allocation happens once and
+/// is reused across M2L calls.
 #[derive(Clone, Debug, Default)]
 pub struct DerivScratch {
     table: Vec<f64>,
+}
+
+impl DerivScratch {
+    pub(crate) fn capacity(&self) -> usize {
+        self.table.capacity()
+    }
 }
 
 /// Evaluate the full derivative tensor `out[γ] = ∂^γ (1/|v|)` at `v = dx`
@@ -16,26 +24,28 @@ pub struct DerivScratch {
 /// `R^m_0 = (−1)^m (2m−1)!! / r^{2m+1}` with the one-step recurrence
 /// `R^m_{γ+e_d} = γ_d · R^{m+1}_{γ−e_d} + dx_d · R^{m+1}_γ`, which costs O(1)
 /// per table entry — no symbolic polynomials, no cancellation-prone finite
-/// differences. `D^γ(1/r) = R^0_γ`.
+/// differences. `D^γ(1/r) = R^0_γ`. The recurrence's index arithmetic is
+/// precomputed once per [`MultiIndexSet`].
 ///
 /// Panics in debug builds when `dx` is the zero vector (the tensor is
 /// singular there); callers guarantee well-separatedness.
 pub fn deriv_1_over_r(dx: Vec3, set: &MultiIndexSet, scratch: &mut DerivScratch, out: &mut [f64]) {
     let n_max = set.order();
     let nt = set.len();
+    let w = n_max + 1;
     debug_assert_eq!(out.len(), nt);
     let r2 = dx.norm_sq();
     debug_assert!(r2 > 0.0, "derivative tensor evaluated at the origin");
 
-    scratch.table.resize((n_max + 1) * nt, 0.0);
+    scratch.table.resize(nt * w, 0.0);
     let t = &mut scratch.table;
 
     // Base cases R^m_000 = (-1)^m (2m-1)!! / r^(2m+1).
     let inv_r2 = 1.0 / r2;
     let mut base = inv_r2.sqrt(); // 1/r
     let mut m_sign_dfact = 1.0; // (-1)^m (2m-1)!!
-    for m in 0..=n_max {
-        t[m * nt] = m_sign_dfact * base;
+    for (m, v) in t[..w].iter_mut().enumerate() {
+        *v = m_sign_dfact * base;
         m_sign_dfact *= -((2 * m + 1) as f64);
         base *= inv_r2;
     }
@@ -43,28 +53,31 @@ pub fn deriv_1_over_r(dx: Vec3, set: &MultiIndexSet, scratch: &mut DerivScratch,
     let d = [dx.x, dx.y, dx.z];
     // Fill total order n from total order n-1 (at auxiliary index m+1).
     for n in 1..=n_max {
-        for idx in set.order_range(n) {
-            let (axis, lower) = set.peel(idx).expect("order >= 1 peels");
-            let (i, j, k) = set.tuple(idx);
-            let gd = [i, j, k][axis]; // exponent being incremented, >= 1
-            let lower2 = if gd >= 2 {
-                let mut tt = [i, j, k];
-                tt[axis] -= 2;
-                Some(set.idx(tt[0], tt[1], tt[2]))
-            } else {
-                None
-            };
-            for m in 0..=(n_max - n) {
-                let hi = (m + 1) * nt;
-                let mut v = d[axis] * t[hi + lower];
-                if let Some(l2) = lower2 {
-                    v += (gd - 1) as f64 * t[hi + l2];
+        let len = n_max - n + 1;
+        for s in set.steps(n) {
+            // Sources have lower flat indices than the entry they feed.
+            let (src, dst) = t.split_at_mut(s.idx * w);
+            let dst = &mut dst[..len];
+            let lo = &src[s.lower * w + 1..][..len];
+            let dd = d[s.axis];
+            match s.lower2 {
+                Some(l2) => {
+                    let lo2 = &src[l2 * w + 1..][..len];
+                    for ((v, &a), &b) in dst.iter_mut().zip(lo).zip(lo2) {
+                        *v = dd * a + s.gm1 * b;
+                    }
                 }
-                t[m * nt + idx] = v;
+                None => {
+                    for (v, &a) in dst.iter_mut().zip(lo) {
+                        *v = dd * a;
+                    }
+                }
             }
         }
     }
-    out.copy_from_slice(&t[..nt]);
+    for (o, row) in out.iter_mut().zip(t.chunks_exact(w)) {
+        *o = row[0];
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! convergence, and kernel identities on random configurations.
 
 use fmm_math::{
-    deriv_1_over_r, power_series, DerivScratch, ExpansionOps, GravityKernel, Kernel,
+    deriv_1_over_r, power_series, DerivScratch, ExpansionOps, GravityKernel, Kernel, M2lScratch,
     StokesletKernel, STOKESLET_CHANNELS,
 };
 use geom::Vec3;
@@ -186,9 +186,8 @@ proptest! {
         kernel.p2m(&ops, Vec3::ZERO, &pos, &f, &mut m, &mut pow);
         let lc = x * (1.0 - 0.02);
         let mut l = vec![0.0; STOKESLET_CHANNELS * nt];
-        let mut ds = DerivScratch::default();
-        let mut tens = Vec::new();
-        ops.m2l(&m, lc, &mut l, STOKESLET_CHANNELS, &mut ds, &mut tens);
+        let mut ms = M2lScratch::default();
+        ops.m2l(&m, lc, &mut l, STOKESLET_CHANNELS, &mut ms);
         let mut pot = [0.0];
         let mut u = [Vec3::ZERO];
         kernel.l2p(&ops, lc, &l, &[x], &mut pot, &mut u, &mut pow);

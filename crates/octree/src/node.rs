@@ -198,6 +198,19 @@ impl Octree {
         out
     }
 
+    /// Visible nodes in breadth-first order — shallow to deep, so every
+    /// parent precedes its children — written into `out`, whose capacity is
+    /// reused: allocation-free once `out` has held a tree this large.
+    pub fn visible_bfs(&self, out: &mut Vec<NodeId>) {
+        out.clear();
+        out.push(Self::ROOT);
+        let mut next = 0;
+        while let Some(&id) = out.get(next) {
+            out.extend(self.visible_children(id));
+            next += 1;
+        }
+    }
+
     /// Visible leaves (FMM leaves), DFS pre-order.
     pub fn visible_leaves(&self) -> Vec<NodeId> {
         self.visible_nodes()

@@ -74,6 +74,26 @@ proptest! {
         }
     }
 
+    /// visible_bfs() is a permutation of visible_nodes() in which every
+    /// parent precedes its children.
+    #[test]
+    fn bfs_orders_parents_first(pts in arb_points(), s in 2usize..48) {
+        let t = build_adaptive(&pts, BuildParams::with_s(s));
+        let mut bfs = Vec::new();
+        t.visible_bfs(&mut bfs);
+        let mut dfs = t.visible_nodes();
+        let mut sorted = bfs.clone();
+        sorted.sort_unstable();
+        dfs.sort_unstable();
+        prop_assert_eq!(sorted, dfs);
+        let mut seen = vec![false; t.num_nodes()];
+        for &id in &bfs {
+            let parent = t.node(id).parent;
+            prop_assert!(parent == octree::NONE || seen[parent as usize]);
+            seen[id as usize] = true;
+        }
+    }
+
     /// Uniform trees are complete and have 8^depth leaves at the target
     /// level.
     #[test]

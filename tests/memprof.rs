@@ -5,6 +5,9 @@
 //!   refresh scratch are warm, `Octree::rebin` performs no allocations at
 //!   all, and `IncrementalLists::refresh_counts` performs none on the
 //!   Clean/Patched paths (the Rebuilt fallback legitimately allocates);
+//! * **allocation-free solve** — once an engine has solved once, a solve
+//!   on unchanged positions allocates nothing inside the `phase` scope
+//!   (upsweep, downsweep, near field), for gravity and Stokeslets alike;
 //! * **structural/allocator agreement** — the `heap_bytes()` walks over
 //!   bodies + octree + plan land within 15% of what the allocator says is
 //!   actually live for those structures.
@@ -16,6 +19,8 @@
 
 use std::sync::Mutex;
 
+use afmm::{FmmEngine, FmmParams};
+use fmm_math::{GravityKernel, Kernel, StokesletKernel};
 use geom::Vec3;
 use octree::{build_adaptive, BuildParams, IncrementalLists, Mac, PlanRefresh};
 use proptest::prelude::*;
@@ -98,6 +103,40 @@ proptest! {
             }
         }
     }
+}
+
+/// Cold solve, then warm solves on the same positions: the cold one must
+/// allocate inside `phase` (the counters are live), the warm ones not at
+/// all.
+fn assert_warm_phase_alloc_free<K: Kernel>(kernel: K, pos: &[Vec3], strength: &[f64]) {
+    let name = kernel.name();
+    let mut engine = FmmEngine::new(kernel, FmmParams::default(), pos, 48);
+    memprof::reset_scopes();
+    std::hint::black_box(engine.solve(pos, strength));
+    let cold = memprof::scope_stats("phase").unwrap_or_default();
+    assert!(
+        cold.allocs > 0,
+        "{name}: the first solve's scratch went uncounted"
+    );
+    memprof::reset_scopes();
+    for _ in 0..3 {
+        engine.rebin(pos);
+        std::hint::black_box(engine.solve(pos, strength));
+    }
+    let warm = memprof::scope_stats("phase").unwrap_or_default();
+    assert_eq!(warm.allocs, 0, "{name}: warm solve allocated in phase");
+}
+
+#[test]
+fn warm_solve_phase_is_allocation_free() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !memprof::counting() {
+        return; // feature off: nothing to measure
+    }
+    let (pos, mass) = plummer_points(3000, 23);
+    assert_warm_phase_alloc_free(GravityKernel::default(), &pos, &mass);
+    let forces = nbody::random_unit_forces(pos.len(), 24);
+    assert_warm_phase_alloc_free(StokesletKernel::default(), &pos, &forces);
 }
 
 /// `heap_bytes()` is a structural estimate (capacity-granular Vec walks);
