@@ -16,8 +16,12 @@
 //! lists are captured verbatim because their iteration order drives the
 //! float-summation order of every downstream reduction.
 //!
-//! Like the `telemetry` crate, this module is dependency-free: it carries
-//! its own writer and a minimal recursive-descent JSON parser.
+//! The writer streams the text straight from the snapshot structs; the
+//! reader parses it with the workspace's one JSON parser (`telemetry::Json`,
+//! which keeps those `u64` bit patterns exact) and maps the tree onto the
+//! structs with strict typed readers. The checksum is taken over the exact
+//! byte span the parser reports for the payload value, and bytes after the
+//! envelope are a parse error.
 
 use crate::balance::{BalancerSnapshot, LbConfig, LbState, Strategy};
 use crate::config::FmmParams;
@@ -26,9 +30,10 @@ use crate::error::Error;
 use crate::filter::FilterSnapshot;
 use crate::simulate::StepRecord;
 use geom::Vec3;
-use gpu_sim::{DeviceStatus, FaultEvent, FaultSchedule, TimedFault};
-use octree::{ListsSnapshot, Mac, Node, OpCounts, TreeSnapshot, NONE};
+use gpu_sim::{DeviceStatus, FaultEvent, FaultSchedule};
+use octree::{ListsSnapshot, Mac, Node, OpCounts, TreeSnapshot};
 use std::fmt::Write as _;
+use telemetry::Json;
 
 /// Version of the on-disk schema. Bump on any incompatible layout change;
 /// restore refuses snapshots from a different version.
@@ -439,382 +444,171 @@ pub fn tracker_to_json(snap: &TrackerSnapshot) -> String {
     seal("tracker", payload)
 }
 
-// ---- minimal JSON parser ----
+// ---- typed readers over the parsed tree ----
 
-/// Parsed JSON value. Numbers keep their raw text: the format writes every
-/// number as a decimal `u64` (floats as bit patterns), so interpretation is
-/// the reader's job and no precision is lost in a double round-trip.
-#[derive(Clone, Debug)]
-enum JVal {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
+/// Strict typed access to a parsed payload: every number the writer emits
+/// is a decimal `u64` (floats as bit patterns), so anything else is an
+/// error, and every failure names what was expected.
+trait Read {
+    fn field(&self, key: &str) -> Result<&Json, String>;
+    fn arr(&self) -> Result<&[Json], String>;
+    fn str(&self) -> Result<&str, String>;
+    fn boolean(&self) -> Result<bool, String>;
+    fn u64(&self) -> Result<u64, String>;
+    fn opt<T>(&self, read: impl FnOnce(&Json) -> Result<T, String>) -> Result<Option<T>, String>;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        }
+    fn list<T>(&self, read: impl FnMut(&Json) -> Result<T, String>) -> Result<Vec<T>, String> {
+        self.arr()?.iter().map(read).collect()
     }
-
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.at)
+    /// A fixed-length array, for destructuring.
+    fn fixed<const N: usize>(&self, what: &str) -> Result<&[Json; N], String> {
+        self.arr()?
+            .try_into()
+            .map_err(|_| format!("{what} needs {N} fields"))
     }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.at) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.at += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JVal, String> {
-        self.skip_ws();
-        match self.bytes.get(self.at) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.literal("true", JVal::Bool(true)),
-            Some(b'f') => self.literal("false", JVal::Bool(false)),
-            Some(b'n') => self.literal("null", JVal::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JVal) -> Result<JVal, String> {
-        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
-            self.at += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn number(&mut self) -> Result<JVal, String> {
-        let start = self.at;
-        if self.bytes.get(self.at) == Some(&b'-') {
-            self.at += 1;
-        }
-        while matches!(self.bytes.get(self.at), Some(b) if b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return Err(self.err("empty number"));
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.at]).map_err(|_| "utf8")?;
-        Ok(JVal::Num(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.bytes.get(self.at) {
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        _ => return Err(self.err("unsupported escape")),
-                    }
-                    self.at += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    s.push(b as char);
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.at..]).map_err(|_| "utf8")?;
-                    let ch = rest.chars().next().ok_or("eof in string")?;
-                    s.push(ch);
-                    self.at += ch.len_utf8();
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JVal, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b']') {
-            self.at += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.at) {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JVal, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.at) == Some(&b'}') {
-            self.at += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bytes.get(self.at) {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-// ---- typed readers over JVal ----
-
-impl JVal {
-    fn get<'a>(&'a self, key: &str) -> Result<&'a JVal, String> {
-        match self {
-            JVal::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field '{key}'")),
-            _ => Err(format!("'{key}' looked up on a non-object")),
-        }
-    }
-
-    fn arr(&self) -> Result<&[JVal], String> {
-        match self {
-            JVal::Arr(items) => Ok(items),
-            _ => Err("expected an array".into()),
-        }
-    }
-
-    fn str(&self) -> Result<&str, String> {
-        match self {
-            JVal::Str(s) => Ok(s),
-            _ => Err("expected a string".into()),
-        }
-    }
-
-    fn boolean(&self) -> Result<bool, String> {
-        match self {
-            JVal::Bool(b) => Ok(*b),
-            _ => Err("expected a bool".into()),
-        }
-    }
-
-    fn u64(&self) -> Result<u64, String> {
-        match self {
-            JVal::Num(raw) => raw.parse::<u64>().map_err(|e| format!("bad u64: {e}")),
-            _ => Err("expected a number".into()),
-        }
-    }
-
-    fn usize(&self) -> Result<usize, String> {
-        Ok(self.u64()? as usize)
-    }
-
-    fn u32(&self) -> Result<u32, String> {
+    /// An unsigned integer that must fit `T`.
+    fn int<T: TryFrom<u64>>(&self) -> Result<T, String> {
         let v = self.u64()?;
-        u32::try_from(v).map_err(|_| format!("{v} overflows u32"))
+        T::try_from(v).map_err(|_| format!("{v} overflows {}", std::any::type_name::<T>()))
     }
-
     /// An `f64` stored as its bit pattern.
     fn f64bits(&self) -> Result<f64, String> {
         Ok(f64::from_bits(self.u64()?))
     }
+}
 
-    fn opt<T>(&self, read: impl FnOnce(&JVal) -> Result<T, String>) -> Result<Option<T>, String> {
+impl Read for Json {
+    fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    fn arr(&self) -> Result<&[Json], String> {
+        self.as_arr().ok_or_else(|| "expected an array".into())
+    }
+
+    fn str(&self) -> Result<&str, String> {
+        self.as_str().ok_or_else(|| "expected a string".into())
+    }
+
+    fn boolean(&self) -> Result<bool, String> {
+        self.as_bool().ok_or_else(|| "expected a bool".into())
+    }
+
+    fn u64(&self) -> Result<u64, String> {
         match self {
-            JVal::Null => Ok(None),
+            Json::U64(v) => Ok(*v),
+            _ => Err("expected an unsigned integer".into()),
+        }
+    }
+
+    fn opt<T>(&self, read: impl FnOnce(&Json) -> Result<T, String>) -> Result<Option<T>, String> {
+        match self {
+            Json::Null => Ok(None),
             v => read(v).map(Some),
         }
     }
 }
 
-fn r_vec3(v: &JVal) -> Result<Vec3, String> {
-    let a = v.arr()?;
-    if a.len() != 3 {
-        return Err("Vec3 needs 3 components".into());
-    }
-    Ok(Vec3::new(a[0].f64bits()?, a[1].f64bits()?, a[2].f64bits()?))
+fn r_vec3(v: &Json) -> Result<Vec3, String> {
+    let [x, y, z] = v.fixed("Vec3")?;
+    Ok(Vec3::new(x.f64bits()?, y.f64bits()?, z.f64bits()?))
 }
 
-fn r_u32_vec(v: &JVal) -> Result<Vec<u32>, String> {
-    v.arr()?.iter().map(JVal::u32).collect()
+fn r_u32_vec(v: &Json) -> Result<Vec<u32>, String> {
+    v.list(Json::int)
 }
 
-fn r_lists(v: &JVal) -> Result<Vec<Vec<u32>>, String> {
-    v.arr()?.iter().map(r_u32_vec).collect()
+fn r_lists(v: &Json) -> Result<Vec<Vec<u32>>, String> {
+    v.list(r_u32_vec)
 }
 
-fn r_counts(v: &JVal) -> Result<OpCounts, String> {
-    let a = v.arr()?;
-    if a.len() != 7 {
-        return Err("OpCounts needs 7 fields".into());
-    }
+fn r_counts(v: &Json) -> Result<OpCounts, String> {
+    let [p2m, m2m, m2l, l2l, l2p, p2p, active] = v.fixed("OpCounts")?;
     Ok(OpCounts {
-        p2m_bodies: a[0].u64()?,
-        m2m_ops: a[1].u64()?,
-        m2l_ops: a[2].u64()?,
-        l2l_ops: a[3].u64()?,
-        l2p_bodies: a[4].u64()?,
-        p2p_interactions: a[5].u64()?,
-        active_nodes: a[6].u64()?,
+        p2m_bodies: p2m.u64()?,
+        m2m_ops: m2m.u64()?,
+        m2l_ops: m2l.u64()?,
+        l2l_ops: l2l.u64()?,
+        l2p_bodies: l2p.u64()?,
+        p2p_interactions: p2p.u64()?,
+        active_nodes: active.u64()?,
     })
 }
 
-fn r_tree(v: &JVal) -> Result<TreeSnapshot, String> {
-    let mut nodes = Vec::new();
-    for n in v.get("nodes")?.arr()? {
-        let a = n.arr()?;
-        if a.len() != 10 {
-            return Err("node needs 10 fields".into());
-        }
-        let level = a[4].u64()?;
-        nodes.push(Node {
-            center: Vec3::new(a[0].f64bits()?, a[1].f64bits()?, a[2].f64bits()?),
-            half_width: a[3].f64bits()?,
-            level: u16::try_from(level).map_err(|_| format!("level {level} overflows u16"))?,
-            parent: a[5].u32()?,
-            first_child: a[6].u32()?,
-            begin: a[7].u32()?,
-            end: a[8].u32()?,
-            collapsed: a[9].u64()? != 0,
-        });
-        let (p, fc) = (
-            nodes.last().unwrap().parent,
-            nodes.last().unwrap().first_child,
-        );
-        let _ = (p == NONE, fc == NONE); // NONE round-trips as a plain u32
-    }
-    let codes = v
-        .get("codes")?
-        .arr()?
-        .iter()
-        .map(JVal::u64)
-        .collect::<Result<Vec<u64>, _>>()?;
-    let max_level = v.get("max_level")?.u64()?;
+fn r_node(v: &Json) -> Result<Node, String> {
+    let [x, y, z, hw, level, parent, first_child, begin, end, collapsed] = v.fixed("node")?;
+    Ok(Node {
+        center: Vec3::new(x.f64bits()?, y.f64bits()?, z.f64bits()?),
+        half_width: hw.f64bits()?,
+        level: level.int()?,
+        parent: parent.int()?,
+        first_child: first_child.int()?,
+        begin: begin.int()?,
+        end: end.int()?,
+        collapsed: collapsed.u64()? != 0,
+    })
+}
+
+fn r_tree(v: &Json) -> Result<TreeSnapshot, String> {
     Ok(TreeSnapshot {
-        nodes,
-        order: r_u32_vec(v.get("order")?)?,
-        codes,
-        s_value: v.get("s_value")?.usize()?,
-        root_center: r_vec3(v.get("root_center")?)?,
-        root_half_width: v.get("root_half_width")?.f64bits()?,
-        max_level: u16::try_from(max_level).map_err(|_| "max_level overflows u16".to_string())?,
+        nodes: v.field("nodes")?.list(r_node)?,
+        order: r_u32_vec(v.field("order")?)?,
+        codes: v.field("codes")?.list(Json::u64)?,
+        s_value: v.field("s_value")?.int()?,
+        root_center: r_vec3(v.field("root_center")?)?,
+        root_half_width: v.field("root_half_width")?.f64bits()?,
+        max_level: v.field("max_level")?.int()?,
     })
 }
 
-fn r_plan(v: &JVal) -> Result<ListsSnapshot, String> {
+fn r_plan(v: &Json) -> Result<ListsSnapshot, String> {
     Ok(ListsSnapshot {
-        theta: v.get("theta")?.f64bits()?,
-        m2l: r_lists(v.get("m2l")?)?,
-        p2p: r_lists(v.get("p2p")?)?,
-        rev_m2l: r_lists(v.get("rev_m2l")?)?,
-        rev_p2p: r_lists(v.get("rev_p2p")?)?,
-        node_counts: v
-            .get("node_counts")?
-            .arr()?
-            .iter()
-            .map(r_counts)
-            .collect::<Result<_, _>>()?,
-        totals: r_counts(v.get("totals")?)?,
-        body_count: r_u32_vec(v.get("body_count")?)?,
-        stamp: r_u32_vec(v.get("stamp")?)?,
-        epoch: v.get("epoch")?.u32()?,
+        theta: v.field("theta")?.f64bits()?,
+        m2l: r_lists(v.field("m2l")?)?,
+        p2p: r_lists(v.field("p2p")?)?,
+        rev_m2l: r_lists(v.field("rev_m2l")?)?,
+        rev_p2p: r_lists(v.field("rev_p2p")?)?,
+        node_counts: v.field("node_counts")?.list(r_counts)?,
+        totals: r_counts(v.field("totals")?)?,
+        body_count: r_u32_vec(v.field("body_count")?)?,
+        stamp: r_u32_vec(v.field("stamp")?)?,
+        epoch: v.field("epoch")?.int()?,
     })
 }
 
-fn r_engine(v: &JVal) -> Result<EngineSnapshot, String> {
-    let theta = v.get("theta")?.f64bits()?;
+fn r_engine(v: &Json) -> Result<EngineSnapshot, String> {
+    let theta = v.field("theta")?.f64bits()?;
     if !(theta > 0.0 && theta <= 1.0) {
         return Err(format!("MAC theta {theta} out of (0, 1]"));
     }
-    let domain = v.get("domain")?.opt(|d| {
-        let a = d.arr()?;
-        if a.len() != 4 {
-            return Err("domain needs [cx, cy, cz, hw]".into());
-        }
+    let domain = v.field("domain")?.opt(|d| {
+        let [x, y, z, hw] = d.fixed("domain [cx, cy, cz, hw]")?;
         Ok((
-            Vec3::new(a[0].f64bits()?, a[1].f64bits()?, a[2].f64bits()?),
-            a[3].f64bits()?,
+            Vec3::new(x.f64bits()?, y.f64bits()?, z.f64bits()?),
+            hw.f64bits()?,
         ))
     })?;
     Ok(EngineSnapshot {
         params: FmmParams {
-            order: v.get("order")?.usize()?,
+            order: v.field("order")?.int()?,
             mac: Mac::new(theta),
-            max_level: u16::try_from(v.get("max_level")?.u64()?)
-                .map_err(|_| "max_level overflows u16".to_string())?,
+            max_level: v.field("max_level")?.int()?,
         },
         domain,
-        tree: r_tree(v.get("tree")?)?,
-        plan: v.get("plan")?.opt(r_plan)?,
-        plan_stale: v.get("plan_stale")?.boolean()?,
+        tree: r_tree(v.field("tree")?)?,
+        plan: v.field("plan")?.opt(r_plan)?,
+        plan_stale: v.field("plan_stale")?.boolean()?,
     })
 }
 
-fn r_filter(v: &JVal) -> Result<FilterSnapshot, String> {
+fn r_filter(v: &Json) -> Result<FilterSnapshot, String> {
     Ok(FilterSnapshot {
-        window: v
-            .get("window")?
-            .arr()?
-            .iter()
-            .map(JVal::f64bits)
-            .collect::<Result<_, _>>()?,
-        k: v.get("k")?.usize()?,
-        alpha: v.get("alpha")?.f64bits()?,
-        ewma: v.get("ewma")?.opt(JVal::f64bits)?,
-        rejected: v.get("rejected")?.u64()?,
+        window: v.field("window")?.list(Json::f64bits)?,
+        k: v.field("k")?.int()?,
+        alpha: v.field("alpha")?.f64bits()?,
+        ewma: v.field("ewma")?.opt(Json::f64bits)?,
+        rejected: v.field("rejected")?.u64()?,
     })
 }
 
@@ -838,161 +632,128 @@ fn r_state(name: &str) -> Result<LbState, String> {
     }
 }
 
-fn r_balancer(v: &JVal) -> Result<BalancerSnapshot, String> {
+fn r_balancer(v: &Json) -> Result<BalancerSnapshot, String> {
     Ok(BalancerSnapshot {
         cfg: LbConfig {
-            s_min: v.get("s_min")?.usize()?,
-            s_max: v.get("s_max")?.usize()?,
-            eps_switch_s: v.get("eps")?.f64bits()?,
-            regression_frac: v.get("reg_frac")?.f64bits()?,
-            use_fgo: v.get("use_fgo")?.boolean()?,
-            fgo_batch_frac: v.get("fgo_batch")?.f64bits()?,
-            fgo_max_rounds: v.get("fgo_rounds")?.usize()?,
-            incr_factor: v.get("incr_factor")?.f64bits()?,
-            incr_tol: v.get("incr_tol")?.f64bits()?,
-            regression_hysteresis: v.get("hysteresis")?.usize()?,
+            s_min: v.field("s_min")?.int()?,
+            s_max: v.field("s_max")?.int()?,
+            eps_switch_s: v.field("eps")?.f64bits()?,
+            regression_frac: v.field("reg_frac")?.f64bits()?,
+            use_fgo: v.field("use_fgo")?.boolean()?,
+            fgo_batch_frac: v.field("fgo_batch")?.f64bits()?,
+            fgo_max_rounds: v.field("fgo_rounds")?.int()?,
+            incr_factor: v.field("incr_factor")?.f64bits()?,
+            incr_tol: v.field("incr_tol")?.f64bits()?,
+            regression_hysteresis: v.field("hysteresis")?.int()?,
         },
-        strategy: r_strategy(v.get("strategy")?.str()?)?,
-        state: r_state(v.get("state")?.str()?)?,
-        s: v.get("s")?.usize()?,
-        lo: v.get("lo")?.usize()?,
-        hi: v.get("hi")?.usize()?,
-        best_compute: v.get("best")?.f64bits()?,
-        incr_best: v.get("incr_best")?.opt(|p| {
-            let a = p.arr()?;
-            if a.len() != 2 {
-                return Err("incr_best needs [s, t]".into());
-            }
-            Ok((a[0].usize()?, a[1].f64bits()?))
+        strategy: r_strategy(v.field("strategy")?.str()?)?,
+        state: r_state(v.field("state")?.str()?)?,
+        s: v.field("s")?.int()?,
+        lo: v.field("lo")?.int()?,
+        hi: v.field("hi")?.int()?,
+        best_compute: v.field("best")?.f64bits()?,
+        incr_best: v.field("incr_best")?.opt(|p| {
+            let [s, t] = p.fixed("incr_best [s, t]")?;
+            Ok((s.int()?, t.f64bits()?))
         })?,
-        incr_dir_up: v.get("incr_dir_up")?.opt(JVal::boolean)?,
-        incr_flipped: v.get("incr_flipped")?.boolean()?,
-        regress_count: v.get("regress_count")?.usize()?,
-        last_online: v.get("last_online")?.opt(JVal::usize)?,
-        reset_best_next: v.get("reset_best_next")?.boolean()?,
+        incr_dir_up: v.field("incr_dir_up")?.opt(Json::boolean)?,
+        incr_flipped: v.field("incr_flipped")?.boolean()?,
+        regress_count: v.field("regress_count")?.int()?,
+        last_online: v.field("last_online")?.opt(Json::int)?,
+        reset_best_next: v.field("reset_best_next")?.boolean()?,
     })
 }
 
-fn r_record(v: &JVal) -> Result<StepRecord, String> {
-    let a = v.arr()?;
-    if a.len() != 9 {
-        return Err("step record needs 9 fields".into());
-    }
+fn r_record(v: &Json) -> Result<StepRecord, String> {
+    let [step, s, state, t_cpu, t_gpu, t_lb, eff, p2p, m2l] = v.fixed("step record")?;
     Ok(StepRecord {
-        step: a[0].usize()?,
-        s: a[1].usize()?,
-        state: r_state(a[2].str()?)?,
-        t_cpu: a[3].f64bits()?,
-        t_gpu: a[4].f64bits()?,
-        t_lb: a[5].f64bits()?,
-        gpu_efficiency: a[6].f64bits()?,
-        p2p_interactions: a[7].u64()?,
-        m2l_ops: a[8].u64()?,
+        step: step.int()?,
+        s: s.int()?,
+        state: r_state(state.str()?)?,
+        t_cpu: t_cpu.f64bits()?,
+        t_gpu: t_gpu.f64bits()?,
+        t_lb: t_lb.f64bits()?,
+        gpu_efficiency: eff.f64bits()?,
+        p2p_interactions: p2p.u64()?,
+        m2l_ops: m2l.u64()?,
     })
 }
 
-fn r_fault_event(v: &JVal) -> Result<FaultEvent, String> {
-    let a = v.arr()?;
-    match a.first().ok_or("empty fault event")?.str()? {
-        "gpu_slowdown" => Ok(FaultEvent::GpuSlowdown {
-            device: a[1].usize()?,
-            factor: a[2].f64bits()?,
-        }),
-        "gpu_dropout" => Ok(FaultEvent::GpuDropout {
-            device: a[1].usize()?,
-        }),
-        "gpu_recover" => Ok(FaultEvent::GpuRecover {
-            device: a[1].usize()?,
-        }),
-        "cpu_load" => Ok(FaultEvent::ExternalCpuLoad {
-            factor: a[1].f64bits()?,
-        }),
-        "noise" => Ok(FaultEvent::TimingNoise {
-            sigma: a[1].f64bits()?,
-        }),
-        other => Err(format!("unknown fault event '{other}'")),
-    }
+fn r_fault_event(v: &Json) -> Result<FaultEvent, String> {
+    let (kind, args) = v.arr()?.split_first().ok_or("empty fault event")?;
+    Ok(match (kind.str()?, args) {
+        ("gpu_slowdown", [device, factor]) => FaultEvent::GpuSlowdown {
+            device: device.int()?,
+            factor: factor.f64bits()?,
+        },
+        ("gpu_dropout", [device]) => FaultEvent::GpuDropout {
+            device: device.int()?,
+        },
+        ("gpu_recover", [device]) => FaultEvent::GpuRecover {
+            device: device.int()?,
+        },
+        ("cpu_load", [factor]) => FaultEvent::ExternalCpuLoad {
+            factor: factor.f64bits()?,
+        },
+        ("noise", [sigma]) => FaultEvent::TimingNoise {
+            sigma: sigma.f64bits()?,
+        },
+        (other, _) => return Err(format!("malformed fault event '{other}'")),
+    })
 }
 
-fn r_tracker(v: &JVal) -> Result<TrackerSnapshot, String> {
-    let model_coeffs = v.get("model")?.arr()?;
-    if model_coeffs.len() != 9 {
-        return Err("model needs 9 coefficients".into());
-    }
+fn r_tracker(v: &Json) -> Result<TrackerSnapshot, String> {
+    let [p2m, m2m, m2l, l2l, l2p, cpu_pair, node, rate, gpu_pair] =
+        v.field("model")?.fixed("model")?;
     let mut model = CostModel::new();
-    model.c_p2m = model_coeffs[0].f64bits()?;
-    model.c_m2m = model_coeffs[1].f64bits()?;
-    model.c_m2l = model_coeffs[2].f64bits()?;
-    model.c_l2l = model_coeffs[3].f64bits()?;
-    model.c_l2p = model_coeffs[4].f64bits()?;
-    model.c_cpu_pair = model_coeffs[5].f64bits()?;
-    model.c_node = model_coeffs[6].f64bits()?;
-    model.parallel_rate = model_coeffs[7].f64bits()?;
-    model.c_gpu_pair = model_coeffs[8].f64bits()?;
-    model.set_observed(v.get("model_observed")?.boolean()?);
-    let mut events = Vec::new();
-    for tf in v.get("faults")?.arr()? {
-        let pair = tf.arr()?;
-        if pair.len() != 2 {
-            return Err("timed fault needs [step, event]".into());
-        }
-        events.push(TimedFault {
-            step: pair[0].usize()?,
-            event: r_fault_event(&pair[1])?,
-        });
-    }
+    model.c_p2m = p2m.f64bits()?;
+    model.c_m2m = m2m.f64bits()?;
+    model.c_m2l = m2l.f64bits()?;
+    model.c_l2l = l2l.f64bits()?;
+    model.c_l2p = l2p.f64bits()?;
+    model.c_cpu_pair = cpu_pair.f64bits()?;
+    model.c_node = node.f64bits()?;
+    model.parallel_rate = rate.f64bits()?;
+    model.c_gpu_pair = gpu_pair.f64bits()?;
+    model.set_observed(v.field("model_observed")?.boolean()?);
     // Rebuild through push(): within-step insertion order is preserved for
     // an already-sorted script, and cross-step order is re-established even
     // if the text was hand-edited.
     let mut faults = FaultSchedule::new();
-    for tf in events {
-        faults.push(tf.step, tf.event);
+    for tf in v.field("faults")?.arr()? {
+        let [step, event] = tf.fixed("timed fault [step, event]")?;
+        faults.push(step.int()?, r_fault_event(event)?);
     }
-    let gpu_status = v.get("gpu_status")?.opt(|st| {
-        st.arr()?
-            .iter()
-            .map(|d| {
-                let a = d.arr()?;
-                if a.len() != 2 {
-                    return Err("device status needs [online, slowdown]".into());
-                }
-                Ok(DeviceStatus {
-                    online: a[0].u64()? != 0,
-                    slowdown: a[1].f64bits()?,
-                })
+    let gpu_status = v.field("gpu_status")?.opt(|st| {
+        st.list(|d| {
+            let [online, slowdown] = d.fixed("device status [online, slowdown]")?;
+            Ok(DeviceStatus {
+                online: online.u64()? != 0,
+                slowdown: slowdown.f64bits()?,
             })
-            .collect::<Result<Vec<DeviceStatus>, String>>()
+        })
     })?;
-    let flat = v.get("pos")?.arr()?;
+    let flat = v.field("pos")?.list(Json::f64bits)?;
     if flat.len() % 3 != 0 {
         return Err("pos stream length not a multiple of 3".into());
     }
-    let mut pos = Vec::with_capacity(flat.len() / 3);
-    for xyz in flat.chunks_exact(3) {
-        pos.push(Vec3::new(
-            xyz[0].f64bits()?,
-            xyz[1].f64bits()?,
-            xyz[2].f64bits()?,
-        ));
-    }
+    let pos = flat
+        .chunks_exact(3)
+        .map(|xyz| Vec3::new(xyz[0], xyz[1], xyz[2]))
+        .collect();
     Ok(TrackerSnapshot {
-        engine: r_engine(v.get("engine")?)?,
+        engine: r_engine(v.field("engine")?)?,
         model,
-        balancer: r_balancer(v.get("balancer")?)?,
-        records: v
-            .get("records")?
-            .arr()?
-            .iter()
-            .map(r_record)
-            .collect::<Result<_, _>>()?,
-        first: v.get("first")?.boolean()?,
+        balancer: r_balancer(v.field("balancer")?)?,
+        records: v.field("records")?.list(r_record)?,
+        first: v.field("first")?.boolean()?,
         faults,
         gpu_status,
-        cpu_load: v.get("cpu_load")?.f64bits()?,
-        noise_sigma: v.get("noise_sigma")?.f64bits()?,
-        noise_state: v.get("noise_state")?.u64()?,
-        filter_cpu: r_filter(v.get("filter_cpu")?)?,
-        filter_gpu: r_filter(v.get("filter_gpu")?)?,
+        cpu_load: v.field("cpu_load")?.f64bits()?,
+        noise_sigma: v.field("noise_sigma")?.f64bits()?,
+        noise_state: v.field("noise_state")?.u64()?,
+        filter_cpu: r_filter(v.field("filter_cpu")?)?,
+        filter_gpu: r_filter(v.field("filter_gpu")?)?,
         pos,
     })
 }
@@ -1000,47 +761,46 @@ fn r_tracker(v: &JVal) -> Result<TrackerSnapshot, String> {
 // ---- envelope verification ----
 
 /// Parse and verify the envelope: schema version, kind, and checksum over
-/// the exact payload bytes. Returns the parsed payload.
-fn open(text: &str, kind: &str) -> Result<JVal, Error> {
-    let root = Parser::new(text)
-        .value()
-        .map_err(|e| Error::Checkpoint(format!("parse: {e}")))?;
-    let version = root
-        .get("schema_version")
-        .and_then(|v| v.u64())
-        .map_err(Error::Checkpoint)?;
+/// the exact bytes of the payload value. Returns the parsed payload.
+fn open(text: &str, kind: &str) -> Result<Json, Error> {
+    let (root, spans) =
+        Json::parse_spanned(text).map_err(|e| Error::Checkpoint(format!("parse: {e}")))?;
+    let Json::Obj(mut members) = root else {
+        return Err(Error::Checkpoint("envelope is not a JSON object".into()));
+    };
+    // `spans[i]` is the exact byte range of `members[i]`'s value.
+    let index = |key: &str| {
+        members
+            .iter()
+            .position(|(k, _)| k == key)
+            .ok_or_else(|| Error::Checkpoint(format!("missing field '{key}'")))
+    };
+    let (iv, ik, ic, ip) = (
+        index("schema_version")?,
+        index("kind")?,
+        index("checksum")?,
+        index("payload")?,
+    );
+    let version = members[iv].1.u64().map_err(Error::Checkpoint)?;
     if version != SCHEMA_VERSION as u64 {
         return Err(Error::Checkpoint(format!(
             "schema version {version} unsupported (this build reads {SCHEMA_VERSION})"
         )));
     }
-    let got_kind = root
-        .get("kind")
-        .and_then(|v| v.str().map(str::to_string))
-        .map_err(Error::Checkpoint)?;
+    let got_kind = members[ik].1.str().map_err(Error::Checkpoint)?;
     if got_kind != kind {
         return Err(Error::Checkpoint(format!(
             "checkpoint kind '{got_kind}', expected '{kind}'"
         )));
     }
-    let declared = root
-        .get("checksum")
-        .and_then(|v| v.str().map(str::to_string))
-        .map_err(Error::Checkpoint)?;
-    // The payload is the last envelope field; checksum the exact bytes the
-    // writer produced (envelopes are machine-generated, not pretty-printed).
-    let marker = "\"payload\":";
-    let at = text
-        .find(marker)
-        .ok_or_else(|| Error::Checkpoint("no payload field".into()))?;
-    let payload_text = &text[at + marker.len()..text.len() - 1];
-    let actual = format!("{:016x}", fnv1a64(payload_text.as_bytes()));
+    let declared = members[ic].1.str().map_err(Error::Checkpoint)?;
+    let actual = format!("{:016x}", fnv1a64(text[spans[ip].clone()].as_bytes()));
     if declared != actual {
         return Err(Error::Checkpoint(format!(
             "checksum mismatch: declared {declared}, computed {actual}"
         )));
     }
-    root.get("payload").cloned().map_err(Error::Checkpoint)
+    Ok(members.swap_remove(ip).1)
 }
 
 /// Parse and verify an engine checkpoint.
@@ -1058,7 +818,7 @@ pub fn tracker_from_json(text: &str) -> Result<TrackerSnapshot, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FmmParams, HeteroNode};
+    use crate::config::FmmParams;
     use crate::engine::FmmEngine;
     use fmm_math::GravityKernel;
     use nbody::plummer;
@@ -1101,7 +861,7 @@ mod tests {
         for v in [f64::NAN, f64::INFINITY, -0.0, 1.0e-308] {
             out.clear();
             w_f64(&mut out, v);
-            let parsed = Parser::new(&out).value().unwrap();
+            let parsed = Json::parse(&out).unwrap();
             assert_eq!(parsed.f64bits().unwrap().to_bits(), v.to_bits());
         }
     }
@@ -1163,7 +923,44 @@ mod tests {
         for text in ["", "{", "[1,2", "{\"schema_version\":true}", "nonsense"] {
             assert!(matches!(engine_from_json(text), Err(Error::Checkpoint(_))));
         }
-        let node = HeteroNode::serial();
-        let _ = node; // silence unused in cfg(test) without gpus
+    }
+
+    #[test]
+    fn bytes_after_the_envelope_are_rejected() {
+        // A multi-byte character after the root object used to be sliced
+        // through when the payload was taken as "everything up to the last
+        // byte"; now anything but whitespace after the envelope is a parse
+        // error, and the checksum covers exactly the payload value's bytes.
+        let tail = "{\"schema_version\":1,\"kind\":\"engine\",\"checksum\":\"0\",\"payload\":{}}é";
+        let err = engine_from_json(tail).unwrap_err();
+        assert!(
+            matches!(err, Error::Checkpoint(ref m) if m.contains("trailing")),
+            "{err}"
+        );
+        let text = engine_to_json(&sample_engine().checkpoint_state());
+        for suffix in ["x", "}", " 1", "\u{e9}"] {
+            let err = engine_from_json(&format!("{text}{suffix}")).unwrap_err();
+            assert!(
+                matches!(err, Error::Checkpoint(ref m) if m.contains("parse")),
+                "{err}"
+            );
+        }
+        // Trailing whitespace is not part of the payload bytes.
+        assert!(engine_from_json(&format!("{text}\n")).is_ok());
+        // The payload need not be the last member.
+        let (head, payload) = text.split_at(text.find(",\"payload\"").unwrap());
+        let moved = format!("{{{},{}}}", &payload[1..payload.len() - 1], &head[1..]);
+        assert!(engine_from_json(&moved).is_ok());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for text in ["[".repeat(200_000), "{\"payload\":".repeat(200_000)] {
+            let err = engine_from_json(&text).unwrap_err();
+            assert!(
+                matches!(err, Error::Checkpoint(ref m) if m.contains("nesting")),
+                "{err}"
+            );
+        }
     }
 }

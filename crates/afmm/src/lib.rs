@@ -36,7 +36,6 @@
 //! ```
 
 mod balance;
-pub mod calibration;
 pub mod chaos;
 pub mod checkpoint;
 mod config;
@@ -55,7 +54,6 @@ pub use balance::{
     fine_grained_optimize, lbtime, search_best_s_cpu_only, BalancerSnapshot, FgoOutcome, LbConfig,
     LbReport, LbState, LoadBalancer, Strategy,
 };
-pub use calibration::{CalibrationCell, CalibrationKey, CalibrationStore};
 pub use chaos::{ChaosEvent, ChaosPlan, TimedChaos};
 pub use checkpoint::{EngineSnapshot, TrackerSnapshot, SCHEMA_VERSION};
 pub use config::{CpuSpec, FmmParams, HeteroNode};

@@ -66,7 +66,8 @@ struct Outcome {
 
 impl Outcome {
     fn wrong_answer(&self) -> bool {
-        self.completed && !(self.field_err < FIELD_TOL)
+        // A NaN error is as wrong as a large one.
+        self.completed && self.field_err.partial_cmp(&FIELD_TOL) != Some(std::cmp::Ordering::Less)
     }
 
     fn recovery_bounded(&self) -> bool {

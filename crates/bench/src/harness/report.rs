@@ -30,8 +30,8 @@
 //! identical value, on any host), so a virtual change is always a code or
 //! structure change, never noise.
 
-use super::json::{obj, Json};
 use super::stats::MetricStats;
+use telemetry::json::{obj, Json};
 
 /// Bumped whenever the report shape changes incompatibly.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -53,7 +53,7 @@ impl MetricKind {
         }
     }
 
-    pub fn from_str(s: &str) -> Option<Self> {
+    pub fn parse(s: &str) -> Option<Self> {
         match s {
             "wall" => Some(MetricKind::Wall),
             "virtual" => Some(MetricKind::Virtual),
@@ -79,7 +79,7 @@ impl Direction {
         }
     }
 
-    pub fn from_str(s: &str) -> Option<Self> {
+    pub fn parse(s: &str) -> Option<Self> {
         match s {
             "lower" => Some(Direction::Lower),
             "higher" => Some(Direction::Higher),
@@ -149,25 +149,30 @@ impl Metric {
         self
     }
 
-    fn to_json(&self) -> Json {
-        obj(vec![
+    /// `compact` drops the raw samples: the perf ledger's form.
+    fn to_json(&self, compact: bool) -> Json {
+        let mut fields = vec![
             ("name", Json::Str(self.name.clone())),
             ("unit", Json::Str(self.unit.clone())),
             ("kind", Json::Str(self.kind.as_str().to_string())),
             ("direction", Json::Str(self.direction.as_str().to_string())),
             ("gate", Json::Bool(self.gate)),
-            (
-                "samples",
-                Json::Arr(self.samples.iter().map(|&s| Json::Num(s)).collect()),
-            ),
-            ("median", Json::Num(self.stats.median)),
-            ("mad", Json::Num(self.stats.mad)),
-            ("ci_lo", Json::Num(self.stats.ci_lo)),
-            ("ci_hi", Json::Num(self.stats.ci_hi)),
-        ])
+        ];
+        if !compact {
+            let samples = self.samples.iter().map(|&s| Json::F64(s)).collect();
+            fields.push(("samples", Json::Arr(samples)));
+        }
+        fields.extend([
+            ("median", Json::F64(self.stats.median)),
+            ("mad", Json::F64(self.stats.mad)),
+            ("ci_lo", Json::F64(self.stats.ci_lo)),
+            ("ci_hi", Json::F64(self.stats.ci_hi)),
+        ]);
+        obj(fields)
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
+    /// Parse either form; a compact metric reads back without samples.
+    fn from_json(v: &Json, compact: bool) -> Result<Self, String> {
         let str_field = |k: &str| -> Result<String, String> {
             v.get(k)
                 .and_then(Json::as_str)
@@ -181,21 +186,25 @@ impl Metric {
         };
         let kind_s = str_field("kind")?;
         let dir_s = str_field("direction")?;
-        Ok(Metric {
-            name: str_field("name")?,
-            unit: str_field("unit")?,
-            kind: MetricKind::from_str(&kind_s)
-                .ok_or_else(|| format!("unknown metric kind \"{kind_s}\""))?,
-            direction: Direction::from_str(&dir_s)
-                .ok_or_else(|| format!("unknown metric direction \"{dir_s}\""))?,
-            gate: v.get("gate").and_then(Json::as_bool).unwrap_or(true),
-            samples: v
-                .get("samples")
+        let samples = if compact {
+            Vec::new()
+        } else {
+            v.get("samples")
                 .and_then(Json::as_arr)
                 .ok_or("metric missing \"samples\"")?
                 .iter()
                 .map(|s| s.as_f64().ok_or("non-numeric sample"))
-                .collect::<Result<_, _>>()?,
+                .collect::<Result<_, _>>()?
+        };
+        Ok(Metric {
+            name: str_field("name")?,
+            unit: str_field("unit")?,
+            kind: MetricKind::parse(&kind_s)
+                .ok_or_else(|| format!("unknown metric kind \"{kind_s}\""))?,
+            direction: Direction::parse(&dir_s)
+                .ok_or_else(|| format!("unknown metric direction \"{dir_s}\""))?,
+            gate: v.get("gate").and_then(Json::as_bool).unwrap_or(true),
+            samples,
             stats: MetricStats {
                 median: num_field("median")?,
                 mad: num_field("mad")?,
@@ -225,19 +234,22 @@ impl Scenario {
         self.metrics.iter().find(|m| m.name == name)
     }
 
-    fn to_json(&self) -> Json {
-        obj(vec![
+    /// `compact` drops the raw samples and the snapshot: the perf
+    /// ledger's form.
+    pub(super) fn to_json(&self, compact: bool) -> Json {
+        let metrics = self.metrics.iter().map(|m| m.to_json(compact)).collect();
+        let mut fields = vec![
             ("name", Json::Str(self.name.clone())),
             ("params", self.params.clone()),
-            (
-                "metrics",
-                Json::Arr(self.metrics.iter().map(Metric::to_json).collect()),
-            ),
-            ("snapshot", self.snapshot.clone()),
-        ])
+            ("metrics", Json::Arr(metrics)),
+        ];
+        if !compact {
+            fields.push(("snapshot", self.snapshot.clone()));
+        }
+        obj(fields)
     }
 
-    fn from_json(v: &Json) -> Result<Self, String> {
+    fn from_json(v: &Json, compact: bool) -> Result<Self, String> {
         Ok(Scenario {
             name: v
                 .get("name")
@@ -250,11 +262,49 @@ impl Scenario {
                 .and_then(Json::as_arr)
                 .ok_or("scenario missing \"metrics\"")?
                 .iter()
-                .map(Metric::from_json)
+                .map(|m| Metric::from_json(m, compact))
                 .collect::<Result<_, _>>()?,
             snapshot: v.get("snapshot").cloned().unwrap_or(Json::Obj(Vec::new())),
         })
     }
+}
+
+/// The `schema_version` and scenarios of a report or ledger line
+/// (`compact`), tolerating growth: a version newer than `native` parses
+/// best-effort, skipping scenarios this build cannot interpret with a
+/// warning; under the native version they stay hard errors, because there
+/// they can only mean corruption.
+pub(super) fn versioned_scenarios(
+    v: &Json,
+    what: &str,
+    native: u64,
+    compact: bool,
+) -> Result<(u64, Vec<Scenario>, Vec<String>), String> {
+    let version = v
+        .get("schema_version")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{what} missing \"schema_version\""))?;
+    let mut warnings = Vec::new();
+    let newer = version > native;
+    if newer {
+        warnings.push(format!(
+            "{what} schema_version {version} is newer than this build's \
+             {native}; parsing known fields only"
+        ));
+    }
+    let mut scenarios = Vec::new();
+    for sv in v
+        .get("scenarios")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{what} missing \"scenarios\""))?
+    {
+        match Scenario::from_json(sv, compact) {
+            Ok(sc) => scenarios.push(sc),
+            Err(e) if newer => warnings.push(format!("skipping scenario: {e}")),
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((version, scenarios, warnings))
 }
 
 /// The whole report: schema tag, provenance, run configuration, scenarios.
@@ -283,7 +333,7 @@ impl BenchReport {
         obj(vec![
             ("os", Json::Str(std::env::consts::OS.to_string())),
             ("arch", Json::Str(std::env::consts::ARCH.to_string())),
-            ("cpus", Json::Num(cpus as f64)),
+            ("cpus", Json::F64(cpus as f64)),
         ])
     }
 
@@ -302,13 +352,13 @@ impl BenchReport {
 
     pub fn to_json_value(&self) -> Json {
         obj(vec![
-            ("schema_version", Json::Num(self.schema_version as f64)),
+            ("schema_version", Json::U64(self.schema_version)),
             ("host", self.host.clone()),
             ("commit", Json::Str(self.commit.clone())),
             ("config", self.config.clone()),
             (
                 "scenarios",
-                Json::Arr(self.scenarios.iter().map(Scenario::to_json).collect()),
+                Json::Arr(self.scenarios.iter().map(|s| s.to_json(false)).collect()),
             ),
         ])
     }
@@ -335,30 +385,8 @@ impl BenchReport {
     /// there they can only mean corruption.
     pub fn from_json_warn(text: &str) -> Result<(Self, Vec<String>), String> {
         let v = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = v
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("report missing \"schema_version\"")?;
-        let mut warnings = Vec::new();
-        let newer = version > SCHEMA_VERSION;
-        if newer {
-            warnings.push(format!(
-                "report schema_version {version} is newer than this build's \
-                 {SCHEMA_VERSION}; parsing known fields only"
-            ));
-        }
-        let mut scenarios = Vec::new();
-        for sv in v
-            .get("scenarios")
-            .and_then(Json::as_arr)
-            .ok_or("report missing \"scenarios\"")?
-        {
-            match Scenario::from_json(sv) {
-                Ok(sc) => scenarios.push(sc),
-                Err(e) if newer => warnings.push(format!("skipping scenario: {e}")),
-                Err(e) => return Err(e),
-            }
-        }
+        let (version, scenarios, warnings) =
+            versioned_scenarios(&v, "report", SCHEMA_VERSION, false)?;
         Ok((
             BenchReport {
                 schema_version: version,
@@ -418,7 +446,7 @@ mod tests {
             config: obj(vec![("mode", Json::Str("smoke".into()))]),
             scenarios: vec![Scenario {
                 name: "solve_step".to_string(),
-                params: obj(vec![("n", Json::Num(1000.0))]),
+                params: obj(vec![("n", Json::F64(1000.0))]),
                 metrics: vec![
                     Metric::wall("wall_s", "s", vec![0.5, 0.52, 0.49], 1),
                     Metric::virtual_point("virtual_compute_s", "s", 0.123),
@@ -433,7 +461,7 @@ mod tests {
     fn report_round_trips() {
         let r = tiny_report();
         let text = r.to_json();
-        assert!(telemetry::json_syntax_ok(text.trim_end()));
+        assert!(telemetry::Json::parse(text.trim_end()).is_ok());
         let back = BenchReport::from_json(&text).unwrap();
         assert_eq!(back.commit, "deadbeef");
         let s = back.scenario("solve_step").unwrap();

@@ -20,7 +20,7 @@ fn report_with(samples: Vec<f64>) -> BenchReport {
         config: Json::Obj(vec![("mode".to_string(), Json::Str("test".to_string()))]),
         scenarios: vec![Scenario {
             name: "synthetic".to_string(),
-            params: Json::Obj(vec![("n".to_string(), Json::Num(1000.0))]),
+            params: Json::Obj(vec![("n".to_string(), Json::F64(1000.0))]),
             metrics: vec![Metric::wall("wall_s", "s", samples, 11)],
             snapshot: Json::Obj(Vec::new()),
         }],
@@ -90,7 +90,7 @@ fn informational_metrics_never_gate() {
 fn params_mismatch_skips_instead_of_gating() {
     let old = report_with(noisy_samples(1.0, 0.01, 7, 7));
     let mut new = report_with(noisy_samples(9.0, 0.01, 7, 8));
-    new.scenarios[0].params = Json::Obj(vec![("n".to_string(), Json::Num(2000.0))]);
+    new.scenarios[0].params = Json::Obj(vec![("n".to_string(), Json::F64(2000.0))]);
     let result = compare(&old, &new, &CompareConfig::default());
     assert_eq!(result.regressions(), 0, "{}", result.render());
     assert!(result.rows.iter().all(|r| r.verdict == Verdict::Skipped));
@@ -158,7 +158,7 @@ fn smoke_suite_runs_and_gates() {
 
     // Round trip.
     let text = report.to_json();
-    assert!(telemetry::json_syntax_ok(text.trim_end()));
+    assert!(telemetry::Json::parse(text.trim_end()).is_ok());
     let back = BenchReport::from_json(&text).unwrap();
     assert_eq!(back.scenarios.len(), report.scenarios.len());
 

@@ -3,7 +3,6 @@
 //! equivalence with a plain compare, and the `afmm-perf` exit-code
 //! contract driven through the real binary.
 
-use bench::harness::json::obj;
 use bench::harness::{
     compare, synthesize_baseline, trend_rows, BenchReport, CompareConfig, Json, Ledger,
     LedgerEntry, Metric, Scenario, Verdict, SCHEMA_VERSION,
@@ -11,6 +10,7 @@ use bench::harness::{
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use telemetry::json::obj;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("afmm-ledger-it-{tag}-{}", std::process::id()));
@@ -27,13 +27,13 @@ fn synthetic_report(commit: &str, wall: f64) -> BenchReport {
         host: obj(vec![
             ("os", Json::Str("linux".into())),
             ("arch", Json::Str("x86_64".into())),
-            ("cpus", Json::Num(16.0)),
+            ("cpus", Json::F64(16.0)),
         ]),
         commit: commit.to_string(),
         config: obj(vec![("mode", Json::Str("quick".into()))]),
         scenarios: vec![Scenario {
             name: "solve_step".to_string(),
-            params: obj(vec![("n", Json::Num(4096.0)), ("s", Json::Num(64.0))]),
+            params: obj(vec![("n", Json::F64(4096.0)), ("s", Json::F64(64.0))]),
             metrics: vec![
                 Metric::wall(
                     "wall_s",
@@ -200,8 +200,6 @@ fn binary_exit_code_contract() {
     let dir = temp_dir("bin");
     let ledger = dir.join("ledger.jsonl");
     let ledger_s = ledger.to_str().unwrap();
-    let calib = dir.join("calibration.jsonl");
-    let calib_s = calib.to_str().unwrap();
     let report_path = dir.join("r.json");
     write_report(&report_path, &synthetic_report("c000", 1.0));
     let report_s = report_path.to_str().unwrap();
@@ -242,8 +240,6 @@ fn binary_exit_code_contract() {
             p.to_str().unwrap(),
             "--ledger",
             ledger_s,
-            "--calibration",
-            calib_s,
             "--time",
             &format!("{}", 1_700_000_000 + i as u64 * 86_400),
         ]);
@@ -306,18 +302,11 @@ fn binary_exit_code_contract() {
     let (code, _, err) = afmm_perf(&["trend", "--ledger", ledger_s, "--host", "nohost-0c"]);
     assert_eq!(code, 0, "{err}");
 
-    // Calibration dump → 0. The synthetic reports carry no cost-model
-    // snapshot, so the store stayed empty but readable.
-    let (code, out, _) = afmm_perf(&["calibration", "--calibration", calib_s]);
-    assert_eq!(code, 0);
-    assert!(out.contains("0 cells"), "{out}");
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One real smoke-suite pass through the binary: run → record twice →
-/// against-ledger compare of the same report must be clean, and the
-/// calibration store must hold the realized solve_step cell.
+/// against-ledger compare of the same report must be clean.
 #[test]
 fn binary_smoke_suite_end_to_end() {
     let dir = temp_dir("e2e");
@@ -325,25 +314,13 @@ fn binary_smoke_suite_end_to_end() {
     let report_s = report.to_str().unwrap();
     let ledger = dir.join("ledger.jsonl");
     let ledger_s = ledger.to_str().unwrap();
-    let calib = dir.join("calibration.jsonl");
-    let calib_s = calib.to_str().unwrap();
 
     let (code, _, err) = afmm_perf(&["run", "--smoke", "-o", report_s]);
     assert_eq!(code, 0, "{err}");
 
     for t in ["1700000000", "1700086400"] {
-        let (code, _, err) = afmm_perf(&[
-            "record",
-            report_s,
-            "--ledger",
-            ledger_s,
-            "--calibration",
-            calib_s,
-            "--time",
-            t,
-        ]);
+        let (code, _, err) = afmm_perf(&["record", report_s, "--ledger", ledger_s, "--time", t]);
         assert_eq!(code, 0, "{err}");
-        assert!(err.contains("calibration cell"), "{err}");
     }
 
     let (code, out, err) = afmm_perf(&[
@@ -360,12 +337,6 @@ fn binary_smoke_suite_end_to_end() {
         "{err}"
     );
     assert!(!out.contains("REGRESSED"), "{out}");
-
-    let (code, out, _) = afmm_perf(&["calibration", "--calibration", calib_s]);
-    assert_eq!(code, 0);
-    assert!(out.contains("1 cell"), "{out}");
-    assert!(out.contains("c_m2l"), "{out}");
-    assert!(out.contains("2 runs"), "{out}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -51,9 +51,7 @@ mod tests {
         let mut out = vec![0.0; set.len()];
         power_series(Vec3::ZERO, &set, &mut out);
         assert_eq!(out[0], 1.0);
-        for idx in 1..set.len() {
-            assert_eq!(out[idx], 0.0);
-        }
+        assert!(out[1..].iter().all(|&v| v == 0.0), "{out:?}");
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! first-class, testable quantity instead of an article of faith.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
-use crate::event::push_json_f64;
+use crate::json::{obj, Json};
 
 /// Default rolling-window length for [`AuditTrail`].
 pub const DEFAULT_WINDOW: usize = 256;
@@ -60,22 +59,6 @@ impl PredictionAudit {
     }
     pub fn rel_error_gpu(&self) -> f64 {
         rel_err(self.pred_gpu, self.actual_gpu)
-    }
-
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(160);
-        let _ = write!(out, "{{\"step\":{},\"pred_cpu\":", self.step);
-        push_json_f64(&mut out, self.pred_cpu);
-        out.push_str(",\"pred_gpu\":");
-        push_json_f64(&mut out, self.pred_gpu);
-        out.push_str(",\"actual_cpu\":");
-        push_json_f64(&mut out, self.actual_cpu);
-        out.push_str(",\"actual_gpu\":");
-        push_json_f64(&mut out, self.actual_gpu);
-        out.push_str(",\"rel_error\":");
-        push_json_f64(&mut out, self.rel_error());
-        let _ = write!(out, ",\"acted\":{}}}", self.acted);
-        out
     }
 }
 
@@ -171,40 +154,16 @@ pub struct AuditStats {
 }
 
 impl AuditStats {
-    /// Parse the flat object [`AuditStats::to_json`] writes. Unknown fields
-    /// are ignored (forward compatibility: the calibration store reads
-    /// stats written by possibly newer binaries); missing fields default to
-    /// zero the same way an empty window does.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let fields = crate::trace::parse_flat_json(line)?;
-        let num = |k: &str| crate::trace::flat_f64(&fields, k).unwrap_or(0.0);
-        let int = |k: &str| crate::trace::flat_u64(&fields, k).unwrap_or(0) as usize;
-        Ok(AuditStats {
-            count: int("count"),
-            acted: int("acted"),
-            mean: num("mean"),
-            median: num("median"),
-            p90: num("p90"),
-            max: num("max"),
-        })
-    }
-
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"acted\":{},\"mean\":",
-            self.count, self.acted
-        );
-        push_json_f64(&mut out, self.mean);
-        out.push_str(",\"median\":");
-        push_json_f64(&mut out, self.median);
-        out.push_str(",\"p90\":");
-        push_json_f64(&mut out, self.p90);
-        out.push_str(",\"max\":");
-        push_json_f64(&mut out, self.max);
-        out.push('}');
-        out
+        obj(vec![
+            ("count", Json::U64(self.count as u64)),
+            ("acted", Json::U64(self.acted as u64)),
+            ("mean", Json::F64(self.mean)),
+            ("median", Json::F64(self.median)),
+            ("p90", Json::F64(self.p90)),
+            ("max", Json::F64(self.max)),
+        ])
+        .to_json()
     }
 }
 
@@ -330,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_round_trip_through_json() {
+    fn stats_json_reads_back_through_the_codec() {
         let mut t = AuditTrail::new();
         for (i, (p, a)) in [(1.05, 1.0), (1.3, 1.0), (0.8, 1.0), (2.0, 1.0)]
             .iter()
@@ -341,33 +300,20 @@ mod tests {
             t.push(au);
         }
         let s = t.stats();
-        let text = s.to_json();
-        assert!(crate::json_syntax_ok(&text));
-        let back = AuditStats::from_json(&text).unwrap();
-        assert_eq!(back, s);
-        // Unknown fields from a newer writer are tolerated.
-        let grown = text.replacen('{', "{\"p99\":0.5,\"note\":\"x\",", 1);
-        let back = AuditStats::from_json(&grown).unwrap();
-        assert_eq!(back, s);
-        // Default stats round-trip too (the empty-window case).
-        let d = AuditStats::default();
-        assert_eq!(AuditStats::from_json(&d.to_json()).unwrap(), d);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(AuditStats::from_json("not json").is_err());
-        assert!(AuditStats::from_json("{\"count\":1").is_err());
+        let back = crate::Json::parse(&s.to_json()).unwrap();
+        let num = |k: &str| back.get(k).and_then(crate::Json::as_f64).unwrap();
+        assert_eq!(back.get("count").and_then(crate::Json::as_u64), Some(4));
+        assert_eq!(back.get("acted").and_then(crate::Json::as_u64), Some(2));
+        assert_eq!(
+            [num("mean"), num("median"), num("p90"), num("max")],
+            [s.mean, s.median, s.p90, s.max]
+        );
     }
 
     #[test]
     fn json_shapes() {
-        let a = audit(3, 1.0, 2.0);
-        let j = a.to_json();
-        assert!(j.contains("\"step\":3"));
-        assert!(j.contains("\"acted\":false"));
         let mut t = AuditTrail::new();
-        t.push(a);
+        t.push(audit(3, 1.0, 2.0));
         assert!(t.stats().to_json().contains("\"count\":1"));
     }
 }

@@ -203,7 +203,7 @@ pub fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
-fn push_json_value(out: &mut String, v: &Value) {
+pub(crate) fn push_json_value(out: &mut String, v: &Value) {
     match v {
         Value::U64(x) => {
             let _ = write!(out, "{x}");

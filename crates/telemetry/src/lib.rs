@@ -31,6 +31,7 @@
 mod anomaly;
 mod audit;
 mod event;
+pub mod json;
 pub mod memprof;
 mod metrics;
 mod recorder;
@@ -42,12 +43,10 @@ pub use anomaly::{
 };
 pub use audit::{AuditStats, AuditTrail, PredictionAudit, DEFAULT_WINDOW};
 pub use event::{push_json_f64, push_json_str, EventRecord, RecordKind, Value};
+pub use json::{Json, JsonError};
 #[cfg(feature = "memprof")]
 pub use memprof::CountingAlloc;
 pub use memprof::{AllocScope, GlobalStats, ScopeStats};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{JsonlSink, Recorder, Sink, SpanGuard, VecSink, DEFAULT_CAPACITY};
-pub use trace::{
-    flat_f64, flat_str, flat_u64, intern, json_syntax_ok, parse_flat_json, read_trace,
-    ChromeTraceExporter, TraceError, TraceReader,
-};
+pub use trace::{intern, read_trace, ChromeTraceExporter, TraceError, TraceReader};

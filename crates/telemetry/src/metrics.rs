@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use crate::event::{push_json_f64, push_json_str};
+use crate::json::{obj, Json};
 
 const HIST_BUCKETS: usize = 256;
 const HIST_MIN: f64 = 1e-12;
@@ -283,43 +283,26 @@ impl MetricsSnapshot {
 
     /// Encode as one JSON object: `{"counters":{...},"gauges":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            let _ = write!(out, ":{v}");
+        fn members<T>(xs: &[(&str, T)], value: impl Fn(&T) -> Json) -> Json {
+            Json::Obj(xs.iter().map(|(k, v)| (k.to_string(), value(v))).collect())
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            out.push(':');
-            push_json_f64(&mut out, *v);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            let _ = write!(out, ":{{\"count\":{},\"mean\":", h.count);
-            push_json_f64(&mut out, h.mean);
-            out.push_str(",\"p50\":");
-            push_json_f64(&mut out, h.p50);
-            out.push_str(",\"p90\":");
-            push_json_f64(&mut out, h.p90);
-            out.push_str(",\"p99\":");
-            push_json_f64(&mut out, h.p99);
-            out.push('}');
-        }
-        out.push_str("}}");
-        out
+        obj(vec![
+            ("counters", members(&self.counters, |&v| Json::U64(v))),
+            ("gauges", members(&self.gauges, |&v| Json::F64(v))),
+            (
+                "histograms",
+                members(&self.histograms, |h| {
+                    obj(vec![
+                        ("count", Json::U64(h.count)),
+                        ("mean", Json::F64(h.mean)),
+                        ("p50", Json::F64(h.p50)),
+                        ("p90", Json::F64(h.p90)),
+                        ("p99", Json::F64(h.p99)),
+                    ])
+                }),
+            ),
+        ])
+        .to_json()
     }
 }
 
